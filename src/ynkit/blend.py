@@ -192,21 +192,43 @@ def export_plan(plan: TrainingPlan, directory: Union[str, Path]) -> list[Path]:
 def load_plan(directory: Union[str, Path]) -> TrainingPlan:
     """Reconstruct a TrainingPlan from an exported directory.
 
-    Gold/distant counts per epoch come from plan.json; instance identity
-    within each epoch file is preserved in order.
+    plan.json's epoch_sizes name the epoch files that must be there,
+    epoch_000.jsonl onwards, and the row count of each; a missing, extra or
+    mis-sized epoch file is an error. Gold/distant counts per epoch come
+    from plan.json; instance identity within each epoch file is preserved
+    in order.
     """
     directory = Path(directory)
     plan_path = directory / "plan.json"
     if not plan_path.exists():
         raise EmptyPlanError(f"no plan.json under {directory}")
-    manifest = json.loads(plan_path.read_text(encoding="utf-8"))
-    epoch_paths = sorted(directory.glob("epoch_*.jsonl"))
-    if not epoch_paths:
-        raise EmptyPlanError(f"no epoch files under {directory}")
+    try:
+        manifest = json.loads(plan_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # undecodable bytes or JSON
+        raise InvalidConfigError(f"{plan_path}: not a plan manifest ({exc})") from None
+    sizes = manifest.get("epoch_sizes") if isinstance(manifest, dict) else None
+    if not isinstance(sizes, list):
+        raise InvalidConfigError(f"{plan_path}: no epoch_sizes list")
+    if not sizes:
+        raise EmptyPlanError(f"{plan_path}: lists no epochs")
+    gold_counts = manifest.get("gold_counts", [None] * len(sizes))
+    if not isinstance(gold_counts, list) or len(gold_counts) != len(sizes):
+        raise InvalidConfigError(f"{plan_path}: gold_counts does not match epoch_sizes")
+    expected = [directory / f"epoch_{i:03d}.jsonl" for i in range(len(sizes))]
+    found = set(directory.glob("epoch_*.jsonl"))
+    for path in expected:
+        if path not in found:
+            raise InvalidConfigError(f"{path}: listed in plan.json but missing")
+    stray = sorted(found.difference(expected))
+    if stray:
+        raise InvalidConfigError(f"{stray[0]}: not listed in plan.json")
     epochs = []
-    for i, path in enumerate(epoch_paths):
+    for path, size, gold_count in zip(expected, sizes, gold_counts):
         instances = tuple(read_instances(path))
-        gold_count = manifest.get("gold_counts", [None] * len(epoch_paths))[i]
+        if len(instances) != size:
+            raise InvalidConfigError(
+                f"{path}: {len(instances)} rows, plan.json lists {size}"
+            )
         if gold_count is None:
             gold_count = sum(1 for inst in instances if inst.source == "gold")
         epochs.append(

@@ -15,9 +15,9 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import blend, distant, evaluation, llm_probe, model, qid
+from . import blend, distant, evaluation, llm_probe, qid
 from .corpus import Label, load_corpus, parse_label
-from .errors import YnkitError
+from .errors import InvalidConfigError, YnkitError
 
 log = logging.getLogger("ynkit")
 
@@ -128,18 +128,27 @@ def _cmd_plan(args) -> int:
     return 0
 
 
+def _ngram_orders(value) -> tuple[int, ...]:
+    try:
+        return tuple(int(n) for n in str(value).split(","))
+    except ValueError:
+        raise InvalidConfigError(
+            f"--ngrams: expected comma-separated integers, got {value!r}"
+        ) from None
+
+
 def _cmd_train(args) -> int:
-    plan = blend.load_plan(args.plan)
-    ngram_orders = tuple(int(n) for n in str(args.ngrams).split(","))
-    fields = tuple(f.strip() for f in str(args.fields).split(","))
+    from . import model  # numpy loads only for the steps that need it
+
     config = model.TrainConfig(
         learning_rate=args.lr,
         l2=args.l2,
         num_buckets=args.buckets,
-        ngram_orders=ngram_orders,
-        fields_used=fields,
+        ngram_orders=_ngram_orders(args.ngrams),
+        fields_used=tuple(f.strip() for f in str(args.fields).split(",")),
         seed=args.seed,
     )
+    plan = blend.load_plan(args.plan)
     trained = model.train(plan, config)
     model.save_model(trained, args.out)
     log.info("trained on %d epochs, wrote %s", len(plan.epochs), args.out)
@@ -148,6 +157,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    from . import model
+
     trained = model.load_model(args.model)
     instances = distant.read_instances(args.infile)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)

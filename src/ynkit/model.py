@@ -7,16 +7,23 @@ is plain SGD on the multinomial logistic loss with multiplicative L2
 decay, one pass per epoch dataset in plan order; everything is a pure
 function of (plan, config), so retraining reproduces bitwise-identical
 weights.
+
+Within one run each distinct text is featurized once: `train` keeps the
+feature arrays of each distinct tuple of field texts for every row that
+repeats it, and a `train` run, like a loaded model across its `predict`
+calls, hashes each distinct n-gram once through a memo it owns.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -60,8 +67,12 @@ class TrainConfig:
         for f in self.fields_used:
             if f not in FIELD_PREFIXES:
                 raise InvalidConfigError(f"unknown field {f!r}")
+        if len(set(self.fields_used)) != len(self.fields_used):
+            raise InvalidConfigError("fields_used must not repeat a field")
         if not self.ngram_orders or any(n < 1 for n in self.ngram_orders):
             raise InvalidConfigError("ngram_orders must be positive integers")
+        if len(set(self.ngram_orders)) != len(self.ngram_orders):
+            raise InvalidConfigError("ngram_orders must not repeat an order")
 
     def to_dict(self) -> dict:
         return {
@@ -87,43 +98,65 @@ class TrainConfig:
         )
 
 
-def featurize(instance: QAInstance, config: TrainConfig = TrainConfig()) -> dict[int, float]:
-    """Sparse L2-normalized bucket->weight map for one instance."""
-    counts: dict[int, float] = {}
-    mask = config.num_buckets - 1
-    for field_name in config.fields_used:
+def _field_texts(instance: QAInstance, fields: tuple[str, ...]) -> tuple[str, ...]:
+    """The text of each field in use; instances with equal texts have equal
+    features."""
+    texts = []
+    for field_name in fields:
         if field_name == "context":
-            text = " ".join(instance.context)
+            texts.append(" ".join(instance.context))
         elif field_name == "question":
-            text = instance.question
+            texts.append(instance.question)
         else:
-            text = instance.answer
+            texts.append(instance.answer)
+    return tuple(texts)
+
+
+def featurize(
+    instance: QAInstance,
+    config: TrainConfig = TrainConfig(),
+    memo: Optional[dict[str, int]] = None,
+) -> dict[int, float]:
+    """Sparse L2-normalized bucket->weight map for one instance.
+
+    memo maps n-gram keys to their buckets under this config; pass the same
+    dict to every call of a run so each distinct n-gram is hashed once.
+    """
+    if memo is None:
+        memo = {}
+    keys: list[str] = []
+    for field_name, text in zip(config.fields_used, _field_texts(instance, config.fields_used)):
         tokens = [t.lower() for t in tokenize(text)][: config.max_tokens_per_field]
-        prefix = FIELD_PREFIXES[field_name]
+        prefix = FIELD_PREFIXES[field_name] + ":"
         for order in sorted(config.ngram_orders):
-            for i in range(len(tokens) - order + 1):
-                key = prefix + ":" + "_".join(tokens[i : i + order])
-                bucket = fnv1a_64(key) & mask
-                counts[bucket] = counts.get(bucket, 0.0) + 1.0
-    norm = float(np.sqrt(sum(v * v for v in counts.values())))
-    if norm > 0:
-        counts = {k: v / norm for k, v in counts.items()}
-    return counts
+            grams = zip(*(tokens[i:] for i in range(order)))
+            keys += [prefix + "_".join(gram) for gram in grams]
+    mask = config.num_buckets - 1
+    for key in keys:
+        if key not in memo:
+            memo[key] = fnv1a_64(key) & mask
+    # buckets in first-seen order; the counts are exact integers, so the
+    # norm does not depend on how they were accumulated
+    counts = Counter(map(memo.__getitem__, keys))
+    norm = math.sqrt(sum(c * c for c in counts.values()))
+    return {bucket: c / norm for bucket, c in counts.items()}
 
 
 def _as_arrays(features: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
-    indices = np.fromiter(sorted(features), dtype=np.int64, count=len(features))
-    values = np.array([features[i] for i in indices], dtype=np.float64)
+    buckets = sorted(features)
+    indices = np.array(buckets, dtype=np.int64)
+    values = np.array([features[b] for b in buckets], dtype=np.float64)
     return indices, values
 
 
 @dataclass
 class LinearModel:
     class_labels: tuple[Label, ...]
-    weights: np.ndarray  # (classes, num_buckets) float64
+    weights: np.ndarray  # (classes, feature_config.num_buckets) float64
     bias: np.ndarray  # (classes,) float64
-    num_buckets: int
     feature_config: TrainConfig
+    # n-gram -> bucket memo shared by every predict call on this model
+    ngram_memo: dict[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def scores(self, features: dict[int, float]) -> np.ndarray:
         indices, values = _as_arrays(features)
@@ -140,7 +173,8 @@ def softmax(scores: np.ndarray) -> np.ndarray:
 
 def predict(model: LinearModel, instance: QAInstance) -> tuple[Label, dict[Label, float]]:
     """Argmax label and per-class probabilities; ties break by class order."""
-    return predict_features(model, featurize(instance, model.feature_config))
+    features = featurize(instance, model.feature_config, model.ngram_memo)
+    return predict_features(model, features)
 
 
 def predict_features(model: LinearModel, features: dict[int, float]) -> tuple[Label, dict[Label, float]]:
@@ -153,7 +187,8 @@ def train(plan: TrainingPlan, config: TrainConfig = TrainConfig()) -> LinearMode
     """SGD over the plan's epochs in order, instance order as given.
 
     L2 is applied as per-step multiplicative decay, tracked lazily through
-    a scalar so updates stay sparse.
+    a scalar so updates stay sparse. Rows with equal field texts share one
+    featurization, whether or not they are the same object.
     """
     if not plan.epochs or all(len(e.instances) == 0 for e in plan.epochs):
         raise EmptyPlanError("training plan contains no instances")
@@ -165,15 +200,8 @@ def train(plan: TrainingPlan, config: TrainConfig = TrainConfig()) -> LinearMode
     decay = 1.0 - config.learning_rate * config.l2
     lr = config.learning_rate
 
-    cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def arrays_for(inst: QAInstance) -> tuple[np.ndarray, np.ndarray]:
-        key = id(inst)
-        got = cache.get(key)
-        if got is None:
-            got = _as_arrays(featurize(inst, config))
-            cache[key] = got
-        return got
+    pool: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = {}
+    memo: dict[str, int] = {}
 
     for epoch in plan.epochs:
         for inst in epoch.instances:
@@ -181,7 +209,11 @@ def train(plan: TrainingPlan, config: TrainConfig = TrainConfig()) -> LinearMode
                 raise UnlabeledInstanceError(
                     f"unlabeled instance with origin {inst.origin_ids}"
                 )
-            indices, values = arrays_for(inst)
+            key = _field_texts(inst, config.fields_used)
+            arrays = pool.get(key)
+            if arrays is None:
+                arrays = pool[key] = _as_arrays(featurize(inst, config, memo))
+            indices, values = arrays
             if len(indices) == 0:
                 scores = bias.copy()
             else:
@@ -200,7 +232,6 @@ def train(plan: TrainingPlan, config: TrainConfig = TrainConfig()) -> LinearMode
         class_labels=labels,
         weights=stored * scale,
         bias=bias,
-        num_buckets=config.num_buckets,
         feature_config=config,
     )
 
@@ -295,45 +326,65 @@ def gradient_check(config: TrainConfig = TrainConfig(), probe_size: int = 5) -> 
 
 
 # -- serialization: one JSON container, exact round-trip --
+#
+# Only the weight columns with a set bit are stored (columns_b64 lists
+# them in increasing order); every other column loads as zeros.
 
 _FORMAT = "ynkit-linear-model"
-_VERSION = 1
+_VERSION = 2
+
+
+def _b64(array: np.ndarray, dtype: str) -> str:
+    return base64.b64encode(np.ascontiguousarray(array, dtype=dtype).tobytes()).decode("ascii")
+
+
+def _unb64(text: str, dtype: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(text, validate=True), dtype=dtype)
 
 
 def save_model(model: LinearModel, path: Union[str, Path]) -> None:
+    weights = np.ascontiguousarray(model.weights, dtype="<f8")
+    columns = np.flatnonzero(weights.view("<u8").any(axis=0))  # keeps -0.0 too
     payload = {
         "format": _FORMAT,
         "version": _VERSION,
         "config": model.feature_config.to_dict(),
         "class_labels": [label.value for label in model.class_labels],
-        "num_buckets": model.num_buckets,
-        "bias_b64": base64.b64encode(
-            np.ascontiguousarray(model.bias, dtype="<f8").tobytes()
-        ).decode("ascii"),
-        "weights_b64": base64.b64encode(
-            np.ascontiguousarray(model.weights, dtype="<f8").tobytes()
-        ).decode("ascii"),
+        "bias_b64": _b64(model.bias, "<f8"),
+        "columns_b64": _b64(columns, "<i8"),
+        "weights_b64": _b64(weights[:, columns], "<f8"),
     }
     Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def load_model(path: Union[str, Path]) -> LinearModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != _FORMAT or payload.get("version") != _VERSION:
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # undecodable bytes or JSON
+        raise InvalidConfigError(f"{path}: not a {_FORMAT} file: {exc}") from None
+    if not (
+        isinstance(payload, dict)
+        and payload.get("format") == _FORMAT
+        and payload.get("version") == _VERSION
+    ):
         raise InvalidConfigError(f"{path}: not a {_FORMAT} v{_VERSION} file")
-    config = TrainConfig.from_dict(payload["config"])
-    labels = tuple(parse_label(v) for v in payload["class_labels"])
-    num_buckets = payload["num_buckets"]
-    bias = np.frombuffer(base64.b64decode(payload["bias_b64"]), dtype="<f8").astype(
-        np.float64
-    )
-    weights = np.frombuffer(
-        base64.b64decode(payload["weights_b64"]), dtype="<f8"
-    ).astype(np.float64).reshape(len(labels), num_buckets)
+    try:
+        config = TrainConfig.from_dict(payload["config"])
+        labels = tuple(parse_label(v) for v in payload["class_labels"])
+        bias = _unb64(payload["bias_b64"], "<f8").astype(np.float64)
+        columns = _unb64(payload["columns_b64"], "<i8")
+        values = _unb64(payload["weights_b64"], "<f8").reshape(len(labels), len(columns))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidConfigError(f"{path}: damaged {_FORMAT} file: {exc!r}") from None
+    if bias.shape != (len(labels),) or np.any(np.diff(columns) <= 0) or (
+        len(columns) and not 0 <= columns[0] <= columns[-1] < config.num_buckets
+    ):
+        raise InvalidConfigError(f"{path}: damaged {_FORMAT} file: inconsistent shapes")
+    weights = np.zeros((len(labels), config.num_buckets), dtype=np.float64)
+    weights[:, columns] = values
     return LinearModel(
         class_labels=labels,
         weights=weights,
         bias=bias,
-        num_buckets=num_buckets,
         feature_config=config,
     )

@@ -4,7 +4,10 @@ Written as plain counting loops, independent of the package code paths
 they check.
 """
 
-from ynkit.corpus import LABEL_ORDER
+import numpy as np
+
+from ynkit.corpus import LABEL_ORDER, tokenize
+from ynkit.model import FIELD_PREFIXES, fnv1a_64
 
 
 def naive_per_label_f1(gold, predicted):
@@ -48,3 +51,28 @@ def naive_kappa(gold_a, gold_b):
         count_b = sum(1 for b in gold_b if b == label)
         pe += (count_a / n) * (count_b / n)
     return (po - pe) / (1 - pe)
+
+
+def naive_featurize(instance, config):
+    """The hashed n-gram features by one plain loop per n-gram: no memo,
+    float counts accumulated in place, numpy square root."""
+    counts = {}
+    mask = config.num_buckets - 1
+    for field_name in config.fields_used:
+        if field_name == "context":
+            text = " ".join(instance.context)
+        elif field_name == "question":
+            text = instance.question
+        else:
+            text = instance.answer
+        tokens = [t.lower() for t in tokenize(text)][: config.max_tokens_per_field]
+        prefix = FIELD_PREFIXES[field_name]
+        for order in sorted(config.ngram_orders):
+            for i in range(len(tokens) - order + 1):
+                key = prefix + ":" + "_".join(tokens[i : i + order])
+                bucket = fnv1a_64(key) & mask
+                counts[bucket] = counts.get(bucket, 0.0) + 1.0
+    norm = float(np.sqrt(sum(v * v for v in counts.values())))
+    if norm > 0:
+        counts = {k: v / norm for k, v in counts.items()}
+    return counts

@@ -194,6 +194,40 @@ def test_load_plan_missing_dir(tmp_path):
         load_plan(tmp_path / "nope")
 
 
+def _exported(tmp_path, epochs=3):
+    export_plan(build_merged_plan(GOLD[:6], DISTANT[:4], epochs=epochs, seed=1), tmp_path)
+    return tmp_path
+
+
+def test_load_plan_missing_epoch_file(tmp_path):
+    (_exported(tmp_path) / "epoch_001.jsonl").unlink()
+    with pytest.raises(InvalidConfigError, match="epoch_001.jsonl: listed in plan.json but missing"):
+        load_plan(tmp_path)
+
+
+def test_load_plan_stray_epoch_file(tmp_path):
+    (_exported(tmp_path) / "epoch_009.jsonl").write_text("")
+    with pytest.raises(InvalidConfigError, match="epoch_009.jsonl: not listed in plan.json"):
+        load_plan(tmp_path)
+
+
+def test_load_plan_epoch_row_count_checked(tmp_path):
+    path = _exported(tmp_path) / "epoch_002.jsonl"
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+    with pytest.raises(InvalidConfigError, match="epoch_002.jsonl: 9 rows, plan.json lists 10"):
+        load_plan(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    ["{not json", "[]", '{"epoch_sizes": 3}', '{"epoch_sizes": [10, 10, 10], "gold_counts": [6]}'],
+)
+def test_load_plan_bad_manifest(tmp_path, manifest):
+    (_exported(tmp_path) / "plan.json").write_text(manifest)
+    with pytest.raises(InvalidConfigError, match="plan.json"):
+        load_plan(tmp_path)
+
+
 def test_export_empty_plan_rejected(tmp_path):
     from ynkit.blend import TrainingPlan
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -213,3 +214,57 @@ def test_plan_blended_subcommand(fixture_corpus_path, tmp_path):
     manifest = json.loads((plandir / "plan.json").read_text())
     assert manifest["strategy"] == "blended"
     assert len(manifest["epoch_sizes"]) == 3
+
+
+@pytest.fixture(scope="module")
+def trained_pipeline(fixture_corpus_path, tmp_path_factory):
+    return _run_pipeline(fixture_corpus_path, tmp_path_factory.mktemp("pipeline"))
+
+
+def _assert_one_line_error(rc, err, needle):
+    assert rc == 1
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and needle in errors[0], err
+
+
+@pytest.mark.parametrize(
+    "damage, needle",
+    [
+        (lambda d: (d / "epoch_001.jsonl").unlink(), "epoch_001.jsonl: listed in plan.json but missing"),
+        (lambda d: (d / "epoch_009.jsonl").write_text(""), "epoch_009.jsonl: not listed in plan.json"),
+    ],
+    ids=["missing_epoch", "stray_epoch"],
+)
+def test_train_rejects_plan_dir_out_of_step_with_manifest(
+    trained_pipeline, tmp_path, capsys, damage, needle
+):
+    plandir = tmp_path / "plan"
+    shutil.copytree(trained_pipeline["plandir"], plandir)
+    damage(plandir)
+    rc = main(["train", "--plan", str(plandir), "--out", str(tmp_path / "m.json")])
+    _assert_one_line_error(rc, capsys.readouterr().err, needle)
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, needle",
+    [
+        (["--ngrams", "a"], "--ngrams: expected comma-separated integers, got 'a'"),
+        (["--ngrams", "1,,2"], "got '1,,2'"),
+        (["--fields", "question,body"], "unknown field 'body'"),
+    ],
+)
+def test_train_rejects_bad_feature_flags(trained_pipeline, tmp_path, capsys, flags, needle):
+    rc = main(["train", "--plan", str(trained_pipeline["plandir"]),
+               "--out", str(tmp_path / "m.json"), *flags])
+    _assert_one_line_error(rc, capsys.readouterr().err, needle)
+
+
+def test_predict_rejects_truncated_model(trained_pipeline, tmp_path, capsys):
+    damaged = tmp_path / "model.json"
+    data = trained_pipeline["model"].read_bytes()
+    damaged.write_bytes(data[: len(data) // 2])
+    rc = main(["predict", "--model", str(damaged), "--in", str(trained_pipeline["distant"]),
+               "--out", str(tmp_path / "preds.jsonl")])
+    _assert_one_line_error(rc, capsys.readouterr().err, str(damaged))

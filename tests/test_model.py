@@ -1,7 +1,20 @@
+import base64
+import hashlib
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from ynkit.blend import build_gold_plan, build_merged_plan
+from ynkit import model as model_module
+from ynkit.blend import (
+    BlendConfig,
+    build_blended_plan,
+    build_gold_plan,
+    build_merged_plan,
+    export_plan,
+    load_plan,
+)
 from ynkit.corpus import LABEL_ORDER, Label
 from ynkit.distant import QAInstance
 from ynkit.errors import InvalidConfigError, UnlabeledInstanceError
@@ -19,6 +32,9 @@ from ynkit.model import (
     save_model,
     train,
 )
+from ynkit.synth import SynthConfig, make_gold_instances, make_test_instances
+
+from oracles import naive_featurize
 
 
 def _inst(question, answer, label, i=0, context=()):
@@ -47,6 +63,10 @@ def test_train_config_validation():
         TrainConfig(fields_used=("question", "paragraph"))
     with pytest.raises(InvalidConfigError):
         TrainConfig(ngram_orders=())
+    with pytest.raises(InvalidConfigError, match="repeat"):
+        TrainConfig(ngram_orders=(1, 2, 1))
+    with pytest.raises(InvalidConfigError, match="repeat"):
+        TrainConfig(fields_used=("question", "question"))
 
 
 def test_featurize_deterministic_and_field_masked():
@@ -63,6 +83,26 @@ def test_featurize_unigram_counts():
     assert len(features) == 2
     norm = np.sqrt(sum(v * v for v in features.values()))
     assert abs(norm - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        TrainConfig(),
+        TrainConfig(num_buckets=2**4, ngram_orders=(3, 1, 2)),  # colliding buckets
+        TrainConfig(fields_used=("answer", "context"), ngram_orders=(2,), max_tokens_per_field=3),
+    ],
+)
+def test_featurize_matches_plain_loop(config):
+    instances = make_test_instances(SynthConfig(seed=3, n_test=60)) + [
+        _inst("?!", "Yes , yes , yes ...", Label.YES, context=("", "(a) [b]")),
+        _inst("Is it?", "x", Label.NO, context=()),
+    ]
+    memo: dict = {}
+    for inst in instances:
+        expected = naive_featurize(inst, config)
+        assert list(featurize(inst, config).items()) == list(expected.items())
+        assert list(featurize(inst, config, memo).items()) == list(expected.items())
 
 
 def test_featurize_l2_normalized():
@@ -156,7 +196,6 @@ def test_zero_weights_uniform_and_tie_break():
         class_labels=LABEL_ORDER,
         weights=np.zeros((3, config.num_buckets)),
         bias=np.zeros(3),
-        num_buckets=config.num_buckets,
         feature_config=config,
     )
     label, probs = predict(model, _inst("Anything here?", "Whatever.", None))
@@ -171,7 +210,6 @@ def test_scaling_weights_preserves_argmax():
         class_labels=model.class_labels,
         weights=model.weights * 3.7,
         bias=model.bias * 3.7,
-        num_buckets=model.num_buckets,
         feature_config=model.feature_config,
     )
     for inst in instances:
@@ -188,7 +226,6 @@ def test_bucket_permutation_invariance():
         class_labels=model.class_labels,
         weights=model.weights[:, np.argsort(perm)],
         bias=model.bias,
-        num_buckets=model.num_buckets,
         feature_config=config,
     )
     for inst in instances:
@@ -246,3 +283,135 @@ def test_load_model_rejects_other_files(tmp_path):
     path.write_text('{"format": "something-else"}')
     with pytest.raises(InvalidConfigError):
         load_model(path)
+
+
+def test_model_file_stores_only_set_columns(tmp_path):
+    config = TrainConfig(num_buckets=2**10)
+    weights = np.zeros((3, config.num_buckets))
+    weights[:, 7] = [0.5, -1.25, 3.0]
+    weights[1, 900] = -0.0  # a set sign bit is kept
+    model = LinearModel(LABEL_ORDER, weights, np.array([0.1, 0.2, -0.3]), config)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    payload = json.loads(path.read_text())
+    assert payload["version"] == 2 and "num_buckets" not in payload
+    assert np.frombuffer(base64.b64decode(payload["columns_b64"]), "<i8").tolist() == [7, 900]
+    loaded = load_model(path)
+    assert loaded.weights.shape == (3, config.num_buckets)
+    assert np.array_equal(loaded.weights, weights)
+    assert loaded.weights.tobytes() == weights.tobytes()
+    assert loaded.bias.tobytes() == model.bias.tobytes()
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda data: data[: len(data) // 2],
+        lambda data: data.replace(b'"weights_b64": "', b'"weights_b64": "!!'),
+        lambda data: data.replace(b'"columns_b64": "', b'"columns_b64": "AAAAAAAAAAAA'),
+        lambda data: data.replace(b'"bias_b64"', b'"bias"'),
+        lambda data: b"\xff\xfe" + data,
+    ],
+    ids=["truncated", "bad_base64", "columns_mismatch", "missing_key", "not_utf8"],
+)
+def test_load_model_damaged_file_names_path(tmp_path, damage):
+    model = train(build_gold_plan(_toy_separable(3), 1, 0), TrainConfig(num_buckets=2**10))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(InvalidConfigError, match="model.json"):
+        load_model(path)
+
+
+def test_shared_memo_gives_same_features():
+    config = TrainConfig(num_buckets=2**12)
+    instances = _toy_separable(4)
+    memo: dict = {}
+    for inst in instances + instances:
+        assert featurize(inst, config, memo) == featurize(inst, config)
+    assert memo and all(bucket == fnv1a_64(key) % 2**12 for key, bucket in memo.items())
+
+
+# -- invariants of training on an exported blended plan --
+
+
+def _blended_plan():
+    """A small blended plan whose distant pool repeats texts under new ids,
+    as a distilled pool does."""
+    config = SynthConfig(seed=5, n_gold=40, n_test=120)
+    gold = make_gold_instances(config)
+    distant = [
+        replace(inst, source="distant")
+        for inst in make_test_instances(config)
+        if inst.label in (Label.YES, Label.NO)
+    ]
+    distant += [
+        replace(inst, context=("another context",), origin_ids=tuple(i + "-dup" for i in inst.origin_ids))
+        for inst in distant[:15]
+    ]
+    return build_blended_plan(gold, distant, BlendConfig(alpha=0.5, m=3, n=1, seed=2))
+
+
+_PLAN_CONFIG = TrainConfig(num_buckets=2**12, fields_used=("question", "answer"), seed=2)
+
+
+def _weights_digest(model):
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(model.weights, dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(model.bias, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def test_training_on_loaded_plan_pinned_digest(tmp_path):
+    export_plan(_blended_plan(), tmp_path / "plan")
+    model = train(load_plan(tmp_path / "plan"), _PLAN_CONFIG)
+    assert _weights_digest(model) == "a059ff2304395f9d486c160a39168193a68b15b75900014491829ac2f07f6371"
+
+
+def test_loaded_and_in_memory_plans_train_identically(tmp_path):
+    plan = _blended_plan()
+    export_plan(plan, tmp_path / "plan")
+    in_memory = train(plan, _PLAN_CONFIG)
+    from_disk = train(load_plan(tmp_path / "plan"), _PLAN_CONFIG)
+    assert np.array_equal(in_memory.weights, from_disk.weights)
+    assert np.array_equal(in_memory.bias, from_disk.bias)
+
+
+def test_predictions_on_loaded_plan_pinned_digest(tmp_path):
+    plan = _blended_plan()
+    export_plan(plan, tmp_path / "plan")
+    model = train(load_plan(tmp_path / "plan"), _PLAN_CONFIG)
+    h = hashlib.sha256()
+    for inst in plan.epochs[0].instances:
+        label, probs = predict(model, inst)
+        h.update(repr((label.value, sorted((k.value, v) for k, v in probs.items()))).encode())
+    assert h.hexdigest() == "294eb86f9eb9e868ab0af0f64ec61a23783d06ea3496f3454627c900139419a4"
+
+
+def test_train_featurizes_each_distinct_text_once(tmp_path, monkeypatch):
+    export_plan(_blended_plan(), tmp_path / "plan")
+    plan = load_plan(tmp_path / "plan")
+    calls = []
+    real = model_module.featurize
+
+    def counting(inst, config, memo=None):
+        calls.append((inst.question, inst.answer))
+        return real(inst, config, memo)
+
+    monkeypatch.setattr(model_module, "featurize", counting)
+    train(plan, _PLAN_CONFIG)
+    rows = [inst for epoch in plan.epochs for inst in epoch.instances]
+    keys = {(inst.question, inst.answer) for inst in rows}
+    assert len(calls) == len(set(calls)) == len(keys)
+    assert len(keys) < len(set(rows)) < len(rows)
+
+
+def test_predict_hashes_each_distinct_ngram_once(monkeypatch):
+    instances = _toy_separable(4)
+    model = train(build_gold_plan(instances, 1, 0), TrainConfig(num_buckets=2**12))
+    calls = []
+    real = model_module.fnv1a_64
+    monkeypatch.setattr(model_module, "fnv1a_64", lambda key: calls.append(key) or real(key))
+    for inst in instances + instances:
+        predict(model, inst)
+    assert calls and len(calls) == len(set(calls)) == len(model.ngram_memo)
