@@ -16,18 +16,23 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import blend, distant, evaluation, llm_probe, qid
-from .corpus import Label, load_corpus, parse_label
-from .errors import InvalidConfigError, YnkitError
+from .corpus import Label, _require, iter_jsonl, load_corpus, parse_label
+from .errors import CorpusFormatError, InvalidConfigError, UnmappedLabelError, YnkitError
 
 log = logging.getLogger("ynkit")
 
 DEFAULT_SEED = 1729  # fixed so bare runs are reproducible; override with --seed
 
 
-def _read_config_file(path: str) -> dict:
-    """Parse a flat key = value file (strings, ints, floats, booleans)."""
+def _read_config_file(path: str, known_keys: set[str]) -> dict:
+    """Parse a flat key = value file (strings, ints, floats, booleans);
+    a key outside known_keys is an error."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise YnkitError(f"{path}: not UTF-8 ({exc.reason})") from None
     values: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -35,6 +40,8 @@ def _read_config_file(path: str) -> dict:
             raise YnkitError(f"{path}: line {lineno}: expected key = value")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
+        if key not in known_keys:
+            raise YnkitError(f"{path}: unknown key {key!r}")
         value = value.strip().strip('"').strip("'")
         if value.lower() in ("true", "false"):
             values[key] = value.lower() == "true"
@@ -170,11 +177,7 @@ def _cmd_predict(args) -> int:
                     {
                         "label": label.value,
                         "probs": {k.value: v for k, v in probs.items()},
-                        "origin": {
-                            "dialogue_id": inst.origin_ids[0],
-                            "question_turn_id": inst.origin_ids[1],
-                            "answer_turn_id": inst.origin_ids[2],
-                        },
+                        "origin": distant.origin_to_dict(inst.origin_ids),
                     },
                     sort_keys=True,
                 )
@@ -185,14 +188,14 @@ def _cmd_predict(args) -> int:
 
 
 def _read_pred_labels(path: str) -> list[Optional[Label]]:
+    """Labels of a predictions file in line order; null is unmapped."""
     labels: list[Optional[Label]] = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            value = obj.get("label")
+    for where, obj in iter_jsonl(path):
+        value = _require(obj, "label", where)
+        try:
             labels.append(parse_label(value) if value is not None else None)
+        except UnmappedLabelError as exc:
+            raise CorpusFormatError(f"{where}: {exc}") from None
     return labels
 
 
@@ -202,11 +205,8 @@ def _cmd_evaluate(args) -> int:
     if any(label is None for label in gold):
         raise YnkitError(f"{args.gold}: every gold instance needs a label")
     preds = _read_pred_labels(args.pred)
-    responses = [
-        llm_probe.MappedResponse(raw="", label=p) for p in preds
-    ]
-    gold_kept, pred_kept, excluded = llm_probe.align_for_scoring(
-        gold, responses, policy=args.unmapped
+    gold_kept, pred_kept, excluded = evaluation.align_for_scoring(
+        gold, preds, policy=args.unmapped
     )
     report = evaluation.score(gold_kept, pred_kept).to_dict()
     if excluded:
@@ -272,7 +272,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         description="Yes-no question pipelines: identify, distill, plan, train, predict, evaluate, probe.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    registry: dict[str, argparse.ArgumentParser] = {}
 
     p = sub.add_parser("identify", help="scan a corpus for yes-no questions")
     p.add_argument("--corpus", required=True)
@@ -345,16 +344,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_common(p)
     p.set_defaults(func=_cmd_probe)
 
-    registry.update(
-        identify=sub.choices["identify"],
-        distill=sub.choices["distill"],
-        plan=sub.choices["plan"],
-        train=sub.choices["train"],
-        predict=sub.choices["predict"],
-        evaluate=sub.choices["evaluate"],
-        probe=sub.choices["probe"],
-    )
-    return parser, registry
+    return parser, sub.choices
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -366,8 +356,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
     if known.config:
+        known_keys = {a.dest for p in registry.values() for a in p._actions}
         try:
-            file_values = _read_config_file(known.config)
+            file_values = _read_config_file(known.config, known_keys)
         except FileNotFoundError:
             print(f"error: config file not found: {known.config}", file=sys.stderr)
             return 1
@@ -386,6 +377,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # an input that is a directory or unreadable
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
     except YnkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import CorpusFormatError, UnmappedLabelError
 
@@ -37,7 +37,7 @@ LABEL_ORDER = (Label.YES, Label.NO, Label.MIDDLE)
 
 def parse_label(value: str) -> Label:
     try:
-        return Label(value.lower())
+        return Label(str(value).lower())
     except ValueError:
         raise UnmappedLabelError(f"not a valid label: {value!r}") from None
 
@@ -126,9 +126,33 @@ def _normalize_text(text: str) -> str:
     return unicodedata.normalize("NFC", text)
 
 
-def _require(obj: dict, key: str, lineno: int):
+def iter_jsonl(path: Union[str, Path]) -> Iterator[tuple[str, dict]]:
+    """Yield (where, obj) for each non-blank line of a JSONL file.
+
+    where reads "{path}: line N"; a line that is not UTF-8, not JSON, or
+    not a JSON object raises CorpusFormatError prefixed by it.
+    """
+    with Path(path).open("rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            where = f"{path}: line {lineno}"
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorpusFormatError(f"{where}: not UTF-8 ({exc.reason})") from None
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusFormatError(f"{where}: invalid JSON ({exc.msg})") from None
+            if not isinstance(obj, dict):
+                raise CorpusFormatError(f"{where}: expected a JSON object")
+            yield where, obj
+
+
+def _require(obj: dict, key: str, where: str):
     if key not in obj:
-        raise CorpusFormatError(f"line {lineno}: missing key {key!r}")
+        raise CorpusFormatError(f"{where}: missing key {key!r}")
     return obj[key]
 
 
@@ -172,46 +196,34 @@ def _order_by_reply_chain(raw_turns: list[dict], conversation_id: str) -> list[d
     return ordered
 
 
-def load_corpus(path: Union[str, Path], format: str = "utterance-jsonlines") -> Corpus:
+def load_corpus(path: Union[str, Path]) -> Corpus:
     """Load an utterance-JSONL file into an immutable Corpus.
 
     Dialogues are ordered lexicographically by id, turns by ordinal.
     """
-    if format != "utterance-jsonlines":
-        raise CorpusFormatError(f"unsupported corpus format {format!r}")
-    path = Path(path)
     seen_ids: set[str] = set()
     conversations: dict[str, list[dict]] = {}
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-            if not isinstance(obj, dict):
-                raise CorpusFormatError(f"line {lineno}: expected a JSON object")
-            turn_id = str(_require(obj, "id", lineno))
-            conv_id = str(_require(obj, "conversation_id", lineno))
-            speaker = str(_require(obj, "speaker", lineno))
-            text = _normalize_text(str(_require(obj, "text", lineno)))
-            if not text.strip():
-                raise CorpusFormatError(f"line {lineno}: turn {turn_id!r} has empty text")
-            if turn_id in seen_ids:
-                raise CorpusFormatError(f"line {lineno}: duplicate turn id {turn_id!r}")
-            seen_ids.add(turn_id)
-            meta = obj.get("meta") or {}
-            conversations.setdefault(conv_id, []).append(
-                {
-                    "id": turn_id,
-                    "speaker": speaker,
-                    "text": text,
-                    "ordinal": obj.get("ordinal"),
-                    "reply_to": obj.get("reply_to"),
-                    "dialogue_act": meta.get("dialogue_act"),
-                }
-            )
+    for where, obj in iter_jsonl(path):
+        turn_id = str(_require(obj, "id", where))
+        conv_id = str(_require(obj, "conversation_id", where))
+        speaker = str(_require(obj, "speaker", where))
+        text = _normalize_text(str(_require(obj, "text", where)))
+        if not text.strip():
+            raise CorpusFormatError(f"{where}: turn {turn_id!r} has empty text")
+        if turn_id in seen_ids:
+            raise CorpusFormatError(f"{where}: duplicate turn id {turn_id!r}")
+        seen_ids.add(turn_id)
+        meta = obj.get("meta") or {}
+        conversations.setdefault(conv_id, []).append(
+            {
+                "id": turn_id,
+                "speaker": speaker,
+                "text": text,
+                "ordinal": obj.get("ordinal"),
+                "reply_to": obj.get("reply_to"),
+                "dialogue_act": meta.get("dialogue_act"),
+            }
+        )
 
     dialogues = []
     for conv_id in sorted(conversations):

@@ -14,28 +14,19 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
-from .corpus import Corpus, Label, parse_label, split_sentences, tokenize
-from .errors import CorpusFormatError, MalformedMatchError, UnlabeledInstanceError
-from .qid import QidMatch
-
-DEFAULT_YES_KEYWORDS = frozenset({"yes", "yea", "yup", "yep", "yeah", "sure"})
-DEFAULT_NO_KEYWORDS = frozenset({"no", "nope"})
-
-# Keyword search window in sentences; mirrors the strict-rule direct-answer
-# window so label_direct_answer never fires where has_direct_answer is false.
-ANSWER_SENTENCE_WINDOW = 2
+from .corpus import Corpus, Label, iter_jsonl, parse_label
+from .errors import (
+    CorpusFormatError,
+    MalformedMatchError,
+    UnlabeledInstanceError,
+    UnmappedLabelError,
+)
+from .qid import NO_KEYWORDS, YES_KEYWORDS, QidMatch, answer_window_tokens
 
 
 @dataclass(frozen=True)
 class DistantConfig:
-    yes_keywords: frozenset[str] = DEFAULT_YES_KEYWORDS
-    no_keywords: frozenset[str] = DEFAULT_NO_KEYWORDS
     context_window: int = 1  # preceding turns included as context
-
-    def __post_init__(self):
-        overlap = self.yes_keywords & self.no_keywords
-        if overlap:
-            raise ValueError(f"yes_keywords and no_keywords overlap: {sorted(overlap)}")
 
 
 @dataclass(frozen=True)
@@ -60,14 +51,12 @@ class QAInstance:
             raise ValueError("distant instances must be labeled Yes or No")
 
 
-def label_direct_answer(answer_text: str, config: DistantConfig = DistantConfig()) -> Optional[Label]:
-    """Yes/No if exactly one polarity's keywords appear in the first two
-    sentences; None when neither or both appear."""
-    tokens = []
-    for sentence in split_sentences(answer_text)[:ANSWER_SENTENCE_WINDOW]:
-        tokens.extend(t.lower() for t in tokenize(sentence))
-    saw_yes = any(t in config.yes_keywords for t in tokens)
-    saw_no = any(t in config.no_keywords for t in tokens)
+def label_direct_answer(answer_text: str) -> Optional[Label]:
+    """Yes/No if exactly one polarity's keywords appear among the answer's
+    window tokens (qid.answer_window_tokens); None when neither or both do."""
+    tokens = set(answer_window_tokens(answer_text))
+    saw_yes = not YES_KEYWORDS.isdisjoint(tokens)
+    saw_no = not NO_KEYWORDS.isdisjoint(tokens)
     if saw_yes and not saw_no:
         return Label.YES
     if saw_no and not saw_yes:
@@ -92,7 +81,7 @@ def extract_distant_instances(
             raise MalformedMatchError(
                 f"match on turn {match.question.turn_id!r} has no answer turn"
             )
-        label = label_direct_answer(match.answer.text, config)
+        label = label_direct_answer(match.answer.text)
         if label is None:
             continue
         dialogue = by_dialogue[match.question.dialogue_id]
@@ -140,6 +129,12 @@ def balance_dataset(instances: list[QAInstance], seed: int) -> list[QAInstance]:
 
 # -- QAInstance interchange format (shared by gold and distant data) --
 
+ORIGIN_KEYS = ("dialogue_id", "question_turn_id", "answer_turn_id")
+
+
+def origin_to_dict(origin_ids: tuple[str, str, str]) -> dict:
+    return dict(zip(ORIGIN_KEYS, origin_ids))
+
 
 def instance_to_dict(inst: QAInstance) -> dict:
     return {
@@ -148,29 +143,29 @@ def instance_to_dict(inst: QAInstance) -> dict:
         "answer": inst.answer,
         "label": inst.label.value if inst.label is not None else None,
         "source": inst.source,
-        "origin": {
-            "dialogue_id": inst.origin_ids[0],
-            "question_turn_id": inst.origin_ids[1],
-            "answer_turn_id": inst.origin_ids[2],
-        },
+        "origin": origin_to_dict(inst.origin_ids),
     }
 
 
 def instance_from_dict(obj: dict) -> QAInstance:
+    """Inverse of instance_to_dict; a field of the wrong type raises TypeError."""
+    context = obj.get("context") or []
     origin = obj.get("origin") or {}
+    if not isinstance(context, list) or not isinstance(origin, dict):
+        raise TypeError("context must be a list and origin an object")
     label = obj.get("label")
-    return QAInstance(
-        context=tuple(obj.get("context") or ()),
+    inst = QAInstance(
+        context=tuple(context),
         question=obj["question"],
         answer=obj["answer"],
         label=parse_label(label) if label is not None else None,
         source=obj.get("source", "gold"),
-        origin_ids=(
-            origin.get("dialogue_id", ""),
-            origin.get("question_turn_id", ""),
-            origin.get("answer_turn_id", ""),
-        ),
+        origin_ids=tuple(origin.get(key, "") for key in ORIGIN_KEYS),
     )
+    texts = (inst.question, inst.answer, inst.source, *inst.context, *inst.origin_ids)
+    if not all(isinstance(text, str) for text in texts):
+        raise TypeError("text fields and origin ids must be strings")
+    return inst
 
 
 def write_instances(instances: Iterable[QAInstance], path: Union[str, Path]) -> None:
@@ -181,16 +176,9 @@ def write_instances(instances: Iterable[QAInstance], path: Union[str, Path]) -> 
 
 def read_instances(path: Union[str, Path]) -> list[QAInstance]:
     instances = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-            try:
-                instances.append(instance_from_dict(obj))
-            except (KeyError, ValueError) as exc:
-                raise CorpusFormatError(f"line {lineno}: bad instance record ({exc})") from None
+    for where, obj in iter_jsonl(path):
+        try:
+            instances.append(instance_from_dict(obj))
+        except (KeyError, TypeError, ValueError, UnmappedLabelError) as exc:
+            raise CorpusFormatError(f"{where}: bad instance record ({exc})") from None
     return instances

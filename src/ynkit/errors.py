@@ -11,8 +11,9 @@ class YnkitError(Exception):
 
 
 class CorpusFormatError(YnkitError):
-    """Malformed corpus input: bad JSON, missing keys, duplicate ids,
-    broken reply chains, or non-consecutive ordinals."""
+    """Malformed JSONL input (corpus, matches, instances, predictions): bad
+    JSON, missing keys, duplicate ids, broken reply chains, or
+    non-consecutive ordinals."""
 
 
 class UnmappedLabelError(YnkitError):

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .corpus import LABEL_ORDER, Label
 from .errors import AlignmentError, DegenerateMarginalsError
@@ -99,6 +99,36 @@ def _check_aligned(*sequences: Sequence[Label]) -> int:
     if n < 1:
         raise AlignmentError("need at least one scored instance")
     return n
+
+
+def align_for_scoring(
+    gold: Sequence[Label],
+    predicted: Sequence[Optional[Label]],
+    policy: str = "exclude",
+) -> tuple[list[Label], list[Label], int]:
+    """Pair gold labels with predictions for scoring; None is unmapped.
+
+    policy="exclude" drops unmapped predictions (count returned);
+    policy="wrong" scores each unmapped prediction as a deterministic
+    incorrect label instead.
+    """
+    if policy not in ("exclude", "wrong"):
+        raise ValueError("policy must be 'exclude' or 'wrong'")
+    if len(gold) != len(predicted):
+        raise AlignmentError(f"gold has {len(gold)} items, predictions {len(predicted)}")
+    kept_gold: list[Label] = []
+    kept_pred: list[Label] = []
+    excluded = 0
+    for g, p in zip(gold, predicted):
+        if p is not None:
+            kept_gold.append(g)
+            kept_pred.append(p)
+        elif policy == "wrong":
+            kept_gold.append(g)
+            kept_pred.append(next(l for l in Label if l != g))
+        else:
+            excluded += 1
+    return kept_gold, kept_pred, excluded
 
 
 def confusion_matrix(gold: Sequence[Label], predicted: Sequence[Label]) -> ConfusionMatrix:

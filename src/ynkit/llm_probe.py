@@ -23,12 +23,7 @@ from typing import Callable, Optional, Protocol, Sequence, Union
 
 from .corpus import Label, tokenize
 from .distant import QAInstance
-from .errors import (
-    AlignmentError,
-    InsufficientShotsError,
-    MissingRecordingError,
-    TransportError,
-)
+from .errors import InsufficientShotsError, MissingRecordingError, TransportError
 
 PROMPT_PREAMBLE = (
     "Below is an instruction and a yes-no question-answer pair input. "
@@ -269,32 +264,3 @@ def probe_benchmark(
     }
     return ProbeResult(responses=responses, unmapped_count=unmapped, manifest=manifest)
 
-
-def align_for_scoring(
-    gold: Sequence[Label],
-    responses: Sequence[MappedResponse],
-    policy: str = "exclude",
-) -> tuple[list[Label], list[Label], int]:
-    """Pair gold labels with mapped predictions for scoring.
-
-    policy="exclude" drops unmapped responses (count returned);
-    policy="wrong" scores each unmapped response as a deterministic
-    incorrect label instead.
-    """
-    if policy not in ("exclude", "wrong"):
-        raise ValueError("policy must be 'exclude' or 'wrong'")
-    if len(gold) != len(responses):
-        raise AlignmentError(f"gold has {len(gold)} items, predictions {len(responses)}")
-    kept_gold: list[Label] = []
-    kept_pred: list[Label] = []
-    excluded = 0
-    for g, r in zip(gold, responses):
-        if r.label is not None:
-            kept_gold.append(g)
-            kept_pred.append(r.label)
-        elif policy == "wrong":
-            kept_gold.append(g)
-            kept_pred.append(next(l for l in Label if l != g))
-        else:
-            excluded += 1
-    return kept_gold, kept_pred, excluded

@@ -17,9 +17,9 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
-from .corpus import Corpus, Turn, split_sentences, tokenize
+from .corpus import Corpus, Turn, _require, iter_jsonl, split_sentences, tokenize
 from .errors import CorpusFormatError, NotAnnotatedError
 
 DEFAULT_AUXILIARY_VERBS = frozenset(
@@ -37,9 +37,13 @@ DEFAULT_WH_WORDS = frozenset(
     {"what", "when", "where", "which", "who", "whom", "whose", "why", "how"}
 )
 
-DEFAULT_ANSWER_KEYWORDS = frozenset(
-    {"yes", "yea", "yup", "yep", "yeah", "sure", "no", "nope"}
-)
+# Polar keywords of a direct answer, matched as whole lowercased tokens in
+# its first ANSWER_SENTENCE_WINDOW sentences. The strict rule and distant
+# labeling both read answer_window_tokens, so every labeled answer is a
+# direct answer.
+YES_KEYWORDS = frozenset({"yes", "yea", "yup", "yep", "yeah", "sure"})
+NO_KEYWORDS = frozenset({"no", "nope"})
+ANSWER_SENTENCE_WINDOW = 2
 
 # Dialogue-act tags marking yes-no questions, matched verbatim.
 SWDA_YES_NO_ACTS = frozenset(
@@ -63,8 +67,6 @@ class QidRuleConfig:
     auxiliary_verbs: frozenset[str] = DEFAULT_AUXILIARY_VERBS
     wh_words: frozenset[str] = DEFAULT_WH_WORDS
     min_token_count_exclusive: int = 3
-    answer_keywords: frozenset[str] = DEFAULT_ANSWER_KEYWORDS
-    answer_sentence_window: int = 2
 
     def __post_init__(self):
         overlap = self.auxiliary_verbs & self.wh_words
@@ -111,15 +113,18 @@ def is_yes_no_question_relaxed(turn: Turn, config: QidRuleConfig = QidRuleConfig
     return any(t in config.auxiliary_verbs for t in tokens)
 
 
-def has_direct_answer(next_turn: Turn, config: QidRuleConfig = QidRuleConfig()) -> bool:
-    """True iff a polar keyword appears as a whole token within the first
-    answer_sentence_window sentences of the turn."""
-    sentences = split_sentences(next_turn.text)[: config.answer_sentence_window]
-    for sentence in sentences:
+def answer_window_tokens(text: str) -> Iterator[str]:
+    """Lowercased tokens of the first ANSWER_SENTENCE_WINDOW sentences."""
+    for sentence in split_sentences(text)[:ANSWER_SENTENCE_WINDOW]:
         for token in tokenize(sentence):
-            if token.lower() in config.answer_keywords:
-                return True
-    return False
+            yield token.lower()
+
+
+def has_direct_answer(next_turn: Turn) -> bool:
+    """True iff a yes or no keyword is among the turn's answer_window_tokens."""
+    return any(
+        t in YES_KEYWORDS or t in NO_KEYWORDS for t in answer_window_tokens(next_turn.text)
+    )
 
 
 def identify_by_dialogue_acts(turn: Turn, config: DialogueActConfig = DialogueActConfig()) -> bool:
@@ -167,7 +172,7 @@ def scan_corpus(
             else:
                 if not is_yes_no_question_relaxed(turn, rule_config):
                     continue
-            direct = next_turn is not None and has_direct_answer(next_turn, rule_config)
+            direct = next_turn is not None and has_direct_answer(next_turn)
             if mode == "strict" and not direct:
                 continue
             matches.append(
@@ -199,49 +204,30 @@ def write_matches(matches: list[QidMatch], path: Union[str, Path]) -> None:
             handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
-def load_matches(
-    path: Union[str, Path],
-    corpus: Corpus,
-    rule_config: QidRuleConfig = QidRuleConfig(),
-) -> list[QidMatch]:
+def load_matches(path: Union[str, Path], corpus: Corpus) -> list[QidMatch]:
     """Resolve a matches JSONL file back against its corpus.
 
     has_direct_answer is recomputed for non-strict matches (it is implied
     true for strict ones).
     """
     index = corpus.turn_index()
+
+    def turn(turn_id, role: str, where: str) -> Turn:
+        if not isinstance(turn_id, str) or turn_id not in index:
+            raise CorpusFormatError(f"{where}: {role} turn {turn_id!r} not in corpus")
+        return index[turn_id]
+
     matches = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-            qid_ = obj["question_turn_id"]
-            if qid_ not in index:
-                raise CorpusFormatError(
-                    f"line {lineno}: question turn {qid_!r} not in corpus"
-                )
-            question = index[qid_]
-            answer = None
-            if obj.get("answer_turn_id") is not None:
-                aid = obj["answer_turn_id"]
-                if aid not in index:
-                    raise CorpusFormatError(
-                        f"line {lineno}: answer turn {aid!r} not in corpus"
-                    )
-                answer = index[aid]
-            mode = obj.get("mode", "relaxed")
-            direct = (
-                True
-                if mode == "strict"
-                else answer is not None and has_direct_answer(answer, rule_config)
-            )
-            matches.append(
-                QidMatch(question=question, answer=answer, mode=mode, has_direct_answer=direct)
-            )
+    for where, obj in iter_jsonl(path):
+        question = turn(_require(obj, "question_turn_id", where), "question", where)
+        answer = None
+        if obj.get("answer_turn_id") is not None:
+            answer = turn(obj["answer_turn_id"], "answer", where)
+        mode = obj.get("mode", "relaxed")
+        direct = mode == "strict" or (answer is not None and has_direct_answer(answer))
+        matches.append(
+            QidMatch(question=question, answer=answer, mode=mode, has_direct_answer=direct)
+        )
     return matches
 
 

@@ -1,11 +1,20 @@
+import contextlib
 import hashlib
+import io
 import json
+import re
+import shlex
 import shutil
+import string
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ynkit.cli import main
+
+ROOT = Path(__file__).parent.parent
 
 
 def _hash(path: Path) -> str:
@@ -66,6 +75,11 @@ def test_missing_input_is_domain_error(tmp_path, capsys):
     assert "absent.jsonl" in capsys.readouterr().err
 
 
+def test_directory_as_input_is_domain_error(tmp_path, capsys):
+    rc = main(["identify", "--corpus", str(tmp_path), "--out", str(tmp_path / "m.jsonl")])
+    _assert_one_line_error(rc, capsys.readouterr().err, f"error: {tmp_path}: ")
+
+
 def test_full_pipeline_smoke(fixture_corpus_path, tmp_path, capsys):
     outputs = _run_pipeline(fixture_corpus_path, tmp_path)
     report = json.loads(outputs["report"].read_text())
@@ -101,6 +115,23 @@ def test_config_file_sets_defaults_flags_win(fixture_corpus_path, tmp_path, caps
     err = capsys.readouterr().err
     assert "'sample': 3" in err  # from config file
     assert "'seed': 1" in err  # explicit flag beats config
+
+
+def test_config_file_unknown_key_is_error(fixture_corpus_path, tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text("seed = 3\nalhpa = 0.9\n", encoding="utf-8")
+    rc = main(["identify", "--corpus", str(fixture_corpus_path), "--config", str(config),
+               "--out", str(tmp_path / "m.jsonl")])
+    _assert_one_line_error(rc, capsys.readouterr().err, f"{config}: unknown key 'alhpa'")
+    assert not (tmp_path / "m.jsonl").exists()
+
+
+def test_config_file_keys_of_other_subcommands_are_valid(fixture_corpus_path, tmp_path):
+    config = tmp_path / "run.conf"
+    config.write_text("seed = 3\nalpha = 0.9\nlr = 0.5\ncontext-window = 2\n", encoding="utf-8")
+    rc = main(["identify", "--corpus", str(fixture_corpus_path), "--config", str(config),
+               "--out", str(tmp_path / "m.jsonl")])
+    assert rc == 0
 
 
 def test_config_file_missing(tmp_path, capsys):
@@ -268,3 +299,112 @@ def test_predict_rejects_truncated_model(trained_pipeline, tmp_path, capsys):
     rc = main(["predict", "--model", str(damaged), "--in", str(trained_pipeline["distant"]),
                "--out", str(tmp_path / "preds.jsonl")])
     _assert_one_line_error(rc, capsys.readouterr().err, str(damaged))
+
+
+# Each JSONL input the CLI reads: the run output it copies, the keys every
+# record needs, and the argv that reads the corrupted copy at `path`.
+_INPUT_KINDS = {
+    "corpus": (
+        "corpus", ("id", "conversation_id", "speaker", "text"),
+        lambda run, path, out: ["identify", "--corpus", path, "--out", out / "m.jsonl"],
+    ),
+    "matches": (
+        "matches", ("question_turn_id",),
+        lambda run, path, out: ["distill", "--corpus", run["corpus"], "--matches", path,
+                                "--out", out / "d.jsonl"],
+    ),
+    "gold": (
+        "distant", ("question", "answer"),
+        lambda run, path, out: ["plan", "--gold", path, "--distant", run["distant"],
+                                "--out", out / "plan"],
+    ),
+    "distant": (
+        "distant", ("question", "answer"),
+        lambda run, path, out: ["plan", "--gold", run["distant"], "--distant", path,
+                                "--out", out / "plan"],
+    ),
+    "epoch": (
+        "plandir", ("question", "answer"),
+        lambda run, path, out: ["train", "--plan", path.parent, "--out", out / "m.json"],
+    ),
+    "instances": (
+        "distant", ("question", "answer"),
+        lambda run, path, out: ["predict", "--model", run["model"], "--in", path,
+                                "--out", out / "p.jsonl"],
+    ),
+    "predictions": (
+        "preds", ("label",),
+        lambda run, path, out: ["evaluate", "--gold", run["distant"], "--pred", path,
+                                "--out", out / "r.json"],
+    ),
+}
+
+
+def _mutate(line: bytes, mutation: str, keys, data) -> bytes:
+    if mutation == "invalid_json":
+        return line[:-1]  # drop the closing brace
+    if mutation == "not_object":
+        return data.draw(st.sampled_from([b"[1, 2]", b"42", b'"text"', b"null"]))
+    if mutation == "missing_key":
+        obj = json.loads(line)
+        del obj[data.draw(st.sampled_from(keys))]
+        return json.dumps(obj).encode("utf-8")
+    position = data.draw(st.integers(0, len(line)))
+    return line[:position] + b"\xff" + line[position:]
+
+
+@pytest.mark.parametrize("mutation", ["invalid_json", "not_object", "missing_key", "not_utf8"])
+@pytest.mark.parametrize("kind", sorted(_INPUT_KINDS))
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_malformed_input_line_is_one_error_naming_file_and_line(
+    trained_pipeline, fixture_corpus_path, kind, mutation, data
+):
+    source, keys, argv_for = _INPUT_KINDS[kind]
+    run = {**trained_pipeline, "corpus": fixture_corpus_path}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        path = out / run[source].name
+        if path.suffix:
+            shutil.copyfile(run[source], path)
+        else:  # a plan directory: corrupt one epoch file past the first
+            shutil.copytree(run[source], path)
+            path = path / "epoch_001.jsonl"
+        lines = path.read_bytes().splitlines()
+        index = data.draw(st.integers(0, len(lines) - 1), label="line index")
+        lines[index] = _mutate(lines[index], mutation, keys, data)
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            rc = main([str(arg) for arg in argv_for(run, path, out)])
+    _assert_one_line_error(rc, stderr.getvalue(), f"error: {path}: line {index + 1}: ")
+
+
+def _readme_walkthrough() -> list[list[str]]:
+    """argv of each `ynkit` line in the README's fixture bash block, with
+    continuation lines joined and shell variables substituted."""
+    blocks = re.findall(r"```bash\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
+    block = next(b for b in blocks if "FIXTURE=" in b)
+    variables: dict[str, str] = {}
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        if re.fullmatch(r"\w+=\S+", line.strip()):
+            name, _, value = line.strip().partition("=")
+            variables[name] = value
+        elif line.startswith("ynkit "):
+            commands.append(shlex.split(string.Template(line).substitute(variables))[1:])
+    return commands
+
+
+def test_readme_walkthrough_runs_as_written(tmp_path, monkeypatch):
+    commands = _readme_walkthrough()
+    assert [argv[0] for argv in commands] == [
+        "identify", "distill", "plan", "train", "predict", "evaluate", "probe"
+    ]
+    (tmp_path / "src").symlink_to(ROOT / "src")  # the README runs from the repo root
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
+        for flag in ("--out", "--audit"):
+            if flag in argv:
+                assert (tmp_path / argv[argv.index(flag) + 1]).exists(), argv

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +8,7 @@ from ynkit.corpus import (
     FineLabelMap,
     Label,
     bundled_label_map,
+    iter_jsonl,
     load_corpus,
     normalize_label,
     save_corpus,
@@ -58,6 +60,20 @@ def test_invalid_json_reports_line(tmp_path):
     path.write_text('{"id": "t1"\nnot json\n', encoding="utf-8")
     with pytest.raises(CorpusFormatError, match="line 1"):
         load_corpus(path)
+
+
+def test_iter_jsonl_names_file_and_line(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b'{"a": 1}\n\n  \n{"b": 2}\n')
+    assert list(iter_jsonl(path)) == [(f"{path}: line 1", {"a": 1}), (f"{path}: line 4", {"b": 2})]
+    for body, reason in [
+        (b'{"a": 1}\n[1, 2]\n', "expected a JSON object"),
+        (b'{"a": 1}\n{"a": \n', "invalid JSON"),
+        (b'{"a": 1}\n{"a": "\xff"}\n', "not UTF-8"),
+    ]:
+        path.write_bytes(body)
+        with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}: line 2: {reason}"):
+            list(iter_jsonl(path))
 
 
 def test_duplicate_turn_id_rejected(tmp_path):

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import pytest
@@ -14,7 +15,7 @@ from ynkit.distant import (
     read_instances,
     write_instances,
 )
-from ynkit.errors import MalformedMatchError, UnlabeledInstanceError
+from ynkit.errors import CorpusFormatError, MalformedMatchError, UnlabeledInstanceError
 from ynkit.qid import QidMatch, has_direct_answer, scan_corpus
 from util import random_corpus
 
@@ -35,15 +36,8 @@ def test_label_direct_answer_window_and_tokens():
     assert label_direct_answer("It goes out on Friday.") is None
 
 
-def test_distant_keywords_subset_of_strict_rule_keywords():
-    from ynkit.distant import DEFAULT_NO_KEYWORDS, DEFAULT_YES_KEYWORDS
-    from ynkit.qid import DEFAULT_ANSWER_KEYWORDS
-
-    assert DEFAULT_YES_KEYWORDS | DEFAULT_NO_KEYWORDS <= DEFAULT_ANSWER_KEYWORDS
-
-
 def test_labeling_implies_direct_answer_on_random_text():
-    # distant keywords are a subset of the strict-rule answer keywords
+    # both read qid's one polar lexicon through the same answer window
     from util import _WORDS
     import random
 
@@ -170,6 +164,20 @@ def test_instance_interchange_round_trip(tmp_path):
     assert read_instances(path) == instances
     for inst in instances:
         assert instance_from_dict(instance_to_dict(inst)) == inst
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("context", 5), ("context", "one turn"), ("question", 5), ("label", 1),
+     ("label", "maybe"), ("origin", ["d", "q", "a"]), ("source", None)],
+)
+def test_read_instances_rejects_wrong_field_types(tmp_path, field, value):
+    record = instance_to_dict(_mk(Label.YES, 0))
+    record[field] = value
+    path = tmp_path / "instances.jsonl"
+    path.write_text(json.dumps(instance_to_dict(_mk(Label.NO, 1))) + "\n" + json.dumps(record) + "\n")
+    with pytest.raises(CorpusFormatError, match=f"{path}: line 2: bad instance record"):
+        read_instances(path)
 
 
 def test_distant_instances_never_middle():

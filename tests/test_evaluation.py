@@ -5,6 +5,7 @@ import pytest
 from ynkit.corpus import LABEL_ORDER, Label
 from ynkit.errors import AlignmentError
 from ynkit.evaluation import (
+    align_for_scoring,
     chi2_sf_1df,
     cohens_kappa,
     compare_runs,
@@ -267,3 +268,18 @@ def test_compare_runs_includes_constant_baseline():
     report = comparison["systems"]["majority"]
     assert report["per_label"]["yes"]["recall"] == 1.0
     assert report["per_label"]["no"]["f1"] == 0.0
+
+
+def test_align_for_scoring_policies():
+    gold = [Y, N, M]
+    predicted = [Y, None, M]
+    kept_gold, kept_pred, excluded = align_for_scoring(gold, predicted, "exclude")
+    assert excluded == 1
+    assert kept_gold == [Y, M]
+    assert kept_pred == [Y, M]
+    kept_gold, kept_pred, excluded = align_for_scoring(gold, predicted, "wrong")
+    assert excluded == 0
+    assert len(kept_pred) == 3
+    assert kept_pred[1] is not N  # scored as a wrong label
+    with pytest.raises(AlignmentError):
+        align_for_scoring(gold[:2], predicted, "exclude")

@@ -4,20 +4,13 @@ import pytest
 
 from ynkit.corpus import Label
 from ynkit.distant import QAInstance
-from ynkit.errors import (
-    AlignmentError,
-    InsufficientShotsError,
-    MissingRecordingError,
-    TransportError,
-)
+from ynkit.errors import InsufficientShotsError, MissingRecordingError, TransportError
 from ynkit.llm_probe import (
     GenerationParams,
     LiveClient,
-    MappedResponse,
     PromptTemplate,
     RecordingClient,
     ReplayClient,
-    align_for_scoring,
     build_prompt,
     map_response,
     probe_benchmark,
@@ -187,25 +180,6 @@ def test_probe_preserves_input_order_with_concurrency():
         [spicy, TARGET, TARGET], PromptTemplate(), 0, SlowStub(), concurrency=3
     )
     assert [r.label for r in result.responses] == [Label.YES, Label.NO, Label.NO]
-
-
-def test_align_for_scoring_policies():
-    gold = [Label.YES, Label.NO, Label.MIDDLE]
-    responses = [
-        MappedResponse(raw="Yes", label=Label.YES),
-        MappedResponse(raw="???", label=None),
-        MappedResponse(raw="Middle", label=Label.MIDDLE),
-    ]
-    kept_gold, kept_pred, excluded = align_for_scoring(gold, responses, "exclude")
-    assert excluded == 1
-    assert kept_gold == [Label.YES, Label.MIDDLE]
-    assert kept_pred == [Label.YES, Label.MIDDLE]
-    kept_gold, kept_pred, excluded = align_for_scoring(gold, responses, "wrong")
-    assert excluded == 0
-    assert len(kept_pred) == 3
-    assert kept_pred[1] is not Label.NO  # scored as a wrong label
-    with pytest.raises(AlignmentError):
-        align_for_scoring(gold[:2], responses, "exclude")
 
 
 # -- live client over a fake transport --

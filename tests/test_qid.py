@@ -1,7 +1,7 @@
 import pytest
 
 from ynkit.corpus import Turn, tokenize
-from ynkit.errors import NotAnnotatedError
+from ynkit.errors import CorpusFormatError, NotAnnotatedError
 from ynkit.qid import (
     DialogueActConfig,
     QidRuleConfig,
@@ -180,6 +180,18 @@ def test_matches_round_trip(fixture_corpus, tmp_path):
         (m.question.turn_id, m.answer.turn_id, m.mode) for m in strict
     ]
     assert all(m.has_direct_answer for m in loaded)
+
+
+def test_load_matches_names_file_and_line(fixture_corpus, tmp_path):
+    path = tmp_path / "matches.jsonl"
+    path.write_text(
+        '{"question_turn_id": "d01-t1", "mode": "strict"}\n{"mode": "strict"}\n', encoding="utf-8"
+    )
+    with pytest.raises(CorpusFormatError, match=f"{path}: line 2: missing key 'question_turn_id'"):
+        load_matches(path, fixture_corpus)
+    path.write_text('{"question_turn_id": ["d01-t1"]}\n', encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=f"{path}: line 1: question turn .* not in corpus"):
+        load_matches(path, fixture_corpus)
 
 
 def test_audit_tsv_columns(fixture_corpus, tmp_path):

@@ -1,17 +1,12 @@
 from collections import Counter
 
 from ynkit.corpus import Label
-from ynkit.distant import (
-    DEFAULT_NO_KEYWORDS,
-    DEFAULT_YES_KEYWORDS,
-    balance_dataset,
-    extract_distant_instances,
-    label_direct_answer,
-)
+from ynkit.distant import balance_dataset, extract_distant_instances, label_direct_answer
 from ynkit.qid import (
-    DEFAULT_ANSWER_KEYWORDS,
     DEFAULT_AUXILIARY_VERBS,
     DEFAULT_WH_WORDS,
+    NO_KEYWORDS,
+    YES_KEYWORDS,
     has_direct_answer,
     is_yes_no_question_relaxed,
     scan_corpus,
@@ -46,9 +41,8 @@ def test_vocabulary_avoids_rule_words():
     reserved = (
         set(DEFAULT_AUXILIARY_VERBS)
         | set(DEFAULT_WH_WORDS)
-        | set(DEFAULT_ANSWER_KEYWORDS)
-        | set(DEFAULT_YES_KEYWORDS)
-        | set(DEFAULT_NO_KEYWORDS)
+        | set(YES_KEYWORDS)
+        | set(NO_KEYWORDS)
     )
     assert not vocab & reserved
 
