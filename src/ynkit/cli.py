@@ -163,26 +163,35 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_predict(args) -> int:
+def _prediction_lines(trained, instances) -> str:
+    """The predictions file's lines for instances, as one string."""
     from . import model
+
+    lines = []
+    for inst in instances:
+        label, probs = model.predict(trained, inst)
+        record = {
+            "label": label.value,
+            "probs": {k.value: v for k, v in probs.items()},
+            "origin": distant.origin_to_dict(inst.origin_ids),
+        }
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
+    return "".join(lines)
+
+
+def _cmd_predict(args) -> int:
+    from . import model, parallel
 
     trained = model.load_model(args.model)
     instances = distant.read_instances(args.infile)
+    slices = parallel.map_slices(
+        lambda lo, hi: _prediction_lines(trained, instances[lo:hi]),
+        len(instances),
+        min(parallel.available_cpus(), len(instances)),
+    )
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     with Path(args.out).open("w", encoding="utf-8") as handle:
-        for inst in instances:
-            label, probs = model.predict(trained, inst)
-            handle.write(
-                json.dumps(
-                    {
-                        "label": label.value,
-                        "probs": {k.value: v for k, v in probs.items()},
-                        "origin": distant.origin_to_dict(inst.origin_ids),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        handle.writelines(slices)
     print(json.dumps({"predicted": len(instances)}))
     return 0
 

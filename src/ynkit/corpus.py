@@ -1,7 +1,9 @@
 """Dialogue corpus ingestion, tokenization, and label normalization.
 
 Corpora arrive as one JSON object per line with fields
-{id, conversation_id, speaker, text, ordinal? | reply_to?, meta?}.
+{id, conversation_id, speaker, text, ordinal? | reply_to?, meta?}, where
+ordinal is an integer, reply_to a turn id string and meta an object whose
+optional dialogue_act is a string; a null optional field counts as absent.
 Turn order within a conversation comes from explicit ordinals when every
 turn has one, otherwise from the reply_to chain. Text is NFC-normalized
 at load time so downstream keyword rules behave consistently across
@@ -156,6 +158,10 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _wrong_type(where: str, key: str, expected: str, value) -> CorpusFormatError:
+    return CorpusFormatError(f"{where}: {key!r} must be {expected}, got {value!r}")
+
+
 def _order_by_reply_chain(raw_turns: list[dict], conversation_id: str) -> list[dict]:
     """Linearize a conversation whose turns carry reply_to references."""
     by_id = {t["id"]: t for t in raw_turns}
@@ -213,15 +219,30 @@ def load_corpus(path: Union[str, Path]) -> Corpus:
         if turn_id in seen_ids:
             raise CorpusFormatError(f"{where}: duplicate turn id {turn_id!r}")
         seen_ids.add(turn_id)
-        meta = obj.get("meta") or {}
+        # optional fields, null meaning absent; checked inline since this
+        # runs once per line; `type(...) is int` also rejects a boolean
+        ordinal = obj.get("ordinal")
+        if ordinal is not None and type(ordinal) is not int:
+            raise _wrong_type(where, "ordinal", "an integer", ordinal)
+        reply_to = obj.get("reply_to")
+        if reply_to is not None and type(reply_to) is not str:
+            raise _wrong_type(where, "reply_to", "a string", reply_to)
+        meta = obj.get("meta")
+        if meta is None:
+            meta = {}
+        elif type(meta) is not dict:
+            raise _wrong_type(where, "meta", "a JSON object", meta)
+        act = meta.get("dialogue_act")
+        if act is not None and type(act) is not str:
+            raise _wrong_type(where, "meta.dialogue_act", "a string", act)
         conversations.setdefault(conv_id, []).append(
             {
                 "id": turn_id,
                 "speaker": speaker,
                 "text": text,
-                "ordinal": obj.get("ordinal"),
-                "reply_to": obj.get("reply_to"),
-                "dialogue_act": meta.get("dialogue_act"),
+                "ordinal": ordinal,
+                "reply_to": reply_to,
+                "dialogue_act": act,
             }
         )
 
@@ -229,8 +250,8 @@ def load_corpus(path: Union[str, Path]) -> Corpus:
     for conv_id in sorted(conversations):
         raw_turns = conversations[conv_id]
         if all(t["ordinal"] is not None for t in raw_turns):
-            raw_turns = sorted(raw_turns, key=lambda t: int(t["ordinal"]))
-            ordinals = [int(t["ordinal"]) for t in raw_turns]
+            raw_turns = sorted(raw_turns, key=lambda t: t["ordinal"])
+            ordinals = [t["ordinal"] for t in raw_turns]
             if ordinals != list(range(len(raw_turns))):
                 raise CorpusFormatError(
                     f"conversation {conv_id!r}: ordinals must be consecutive "

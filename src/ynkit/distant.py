@@ -149,8 +149,8 @@ def instance_to_dict(inst: QAInstance) -> dict:
 
 def instance_from_dict(obj: dict) -> QAInstance:
     """Inverse of instance_to_dict; a field of the wrong type raises TypeError."""
-    context = obj.get("context") or []
-    origin = obj.get("origin") or {}
+    context = [] if obj.get("context") is None else obj["context"]
+    origin = {} if obj.get("origin") is None else obj["origin"]
     if not isinstance(context, list) or not isinstance(origin, dict):
         raise TypeError("context must be a list and origin an object")
     label = obj.get("label")

@@ -11,7 +11,8 @@ weights.
 Within one run each distinct text is featurized once: `train` keeps the
 feature arrays of each distinct tuple of field texts for every row that
 repeats it, and a `train` run, like a loaded model across its `predict`
-calls, hashes each distinct n-gram once through a memo it owns.
+calls, tokenizes each distinct whitespace chunk and hashes each distinct
+n-gram once through a `FeatureMemo` it owns.
 """
 
 from __future__ import annotations
@@ -112,6 +113,16 @@ def _field_texts(instance: QAInstance, fields: tuple[str, ...]) -> tuple[str, ..
     return tuple(texts)
 
 
+class FeatureMemo(dict):
+    """The n-gram key -> bucket memo of one run under one config, carrying
+    as `chunks` the same run's memo of whitespace chunk -> lowercased
+    tokens (valid because `tokenize` handles each chunk on its own)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.chunks: dict[str, list[str]] = {}
+
+
 def featurize(
     instance: QAInstance,
     config: TrainConfig = TrainConfig(),
@@ -120,13 +131,21 @@ def featurize(
     """Sparse L2-normalized bucket->weight map for one instance.
 
     memo maps n-gram keys to their buckets under this config; pass the same
-    dict to every call of a run so each distinct n-gram is hashed once.
+    dict to every call of a run so each distinct n-gram is hashed once. A
+    FeatureMemo also keeps each distinct chunk's tokens for the run.
     """
     if memo is None:
         memo = {}
+    chunks = memo.chunks if isinstance(memo, FeatureMemo) else {}
     keys: list[str] = []
     for field_name, text in zip(config.fields_used, _field_texts(instance, config.fields_used)):
-        tokens = [t.lower() for t in tokenize(text)][: config.max_tokens_per_field]
+        tokens: list[str] = []
+        for chunk in text.split():
+            lowered = chunks.get(chunk)
+            if lowered is None:
+                lowered = chunks[chunk] = [t.lower() for t in tokenize(chunk)]
+            tokens += lowered
+        del tokens[config.max_tokens_per_field :]
         prefix = FIELD_PREFIXES[field_name] + ":"
         for order in sorted(config.ngram_orders):
             grams = zip(*(tokens[i:] for i in range(order)))
@@ -155,8 +174,8 @@ class LinearModel:
     weights: np.ndarray  # (classes, feature_config.num_buckets) float64
     bias: np.ndarray  # (classes,) float64
     feature_config: TrainConfig
-    # n-gram -> bucket memo shared by every predict call on this model
-    ngram_memo: dict[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # chunk and n-gram memo shared by every predict call on this model
+    ngram_memo: FeatureMemo = field(default_factory=FeatureMemo, init=False, repr=False, compare=False)
 
     def scores(self, features: dict[int, float]) -> np.ndarray:
         indices, values = _as_arrays(features)
@@ -201,7 +220,7 @@ def train(plan: TrainingPlan, config: TrainConfig = TrainConfig()) -> LinearMode
     lr = config.learning_rate
 
     pool: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = {}
-    memo: dict[str, int] = {}
+    memo = FeatureMemo()
 
     for epoch in plan.epochs:
         for inst in epoch.instances:

@@ -2,11 +2,13 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import shlex
 import shutil
 import string
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -301,46 +303,92 @@ def test_predict_rejects_truncated_model(trained_pipeline, tmp_path, capsys):
     _assert_one_line_error(rc, capsys.readouterr().err, str(damaged))
 
 
+def _predict_with_cpus(monkeypatch, capsys, cpus, run, infile, out) -> tuple[bytes, int]:
+    """The predictions file written with `cpus` available CPUs, and the
+    number of processes forked for it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forks = []
+    if hasattr(os, "fork"):
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    rc = main(["predict", "--model", str(run["model"]), "--in", str(infile), "--out", str(out)])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out) == {"predicted": len(infile.read_text().splitlines())}
+    return out.read_bytes(), len(forks)
+
+
+def test_predictions_do_not_depend_on_worker_count(trained_pipeline, tmp_path, monkeypatch, capsys):
+    run = trained_pipeline
+    n = len(run["distant"].read_text().splitlines())
+    for cpus in (1, 2, n + 3):  # n + 3: more CPUs than instances
+        out, forks = _predict_with_cpus(monkeypatch, capsys, cpus, run, run["distant"], tmp_path / "p.jsonl")
+        assert out == run["preds"].read_bytes()
+        assert forks == min(cpus, n) - 1  # this process predicts the first slice
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:  # no fork while another thread runs
+        out, forks = _predict_with_cpus(monkeypatch, capsys, 2, run, run["distant"], tmp_path / "p.jsonl")
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert out == run["preds"].read_bytes() and forks == 0 and not other.is_alive()
+    monkeypatch.delattr(os, "fork")
+    out, _ = _predict_with_cpus(monkeypatch, capsys, 2, run, run["distant"], tmp_path / "p.jsonl")
+    assert out == run["preds"].read_bytes()
+
+
+def test_predict_on_empty_instance_file(trained_pipeline, tmp_path, monkeypatch, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    out, forks = _predict_with_cpus(monkeypatch, capsys, 2, trained_pipeline, empty, tmp_path / "p.jsonl")
+    assert out == b"" and forks == 0
+
+
 # Each JSONL input the CLI reads: the run output it copies, the keys every
-# record needs, and the argv that reads the corrupted copy at `path`.
+# record needs, the type of each typed field (dotted for a nested one), and
+# the argv that reads the corrupted copy at `path`.
+_INSTANCE_TYPES = {"question": str, "answer": str, "context": list, "origin": dict}
 _INPUT_KINDS = {
     "corpus": (
         "corpus", ("id", "conversation_id", "speaker", "text"),
+        {"ordinal": int, "reply_to": str, "meta": dict, "meta.dialogue_act": str},
         lambda run, path, out: ["identify", "--corpus", path, "--out", out / "m.jsonl"],
     ),
     "matches": (
-        "matches", ("question_turn_id",),
+        "matches", ("question_turn_id",), {"question_turn_id": str, "answer_turn_id": str},
         lambda run, path, out: ["distill", "--corpus", run["corpus"], "--matches", path,
                                 "--out", out / "d.jsonl"],
     ),
     "gold": (
-        "distant", ("question", "answer"),
+        "distant", ("question", "answer"), _INSTANCE_TYPES,
         lambda run, path, out: ["plan", "--gold", path, "--distant", run["distant"],
                                 "--out", out / "plan"],
     ),
     "distant": (
-        "distant", ("question", "answer"),
+        "distant", ("question", "answer"), _INSTANCE_TYPES,
         lambda run, path, out: ["plan", "--gold", run["distant"], "--distant", path,
                                 "--out", out / "plan"],
     ),
     "epoch": (
-        "plandir", ("question", "answer"),
+        "plandir", ("question", "answer"), _INSTANCE_TYPES,
         lambda run, path, out: ["train", "--plan", path.parent, "--out", out / "m.json"],
     ),
     "instances": (
-        "distant", ("question", "answer"),
+        "distant", ("question", "answer"), _INSTANCE_TYPES,
         lambda run, path, out: ["predict", "--model", run["model"], "--in", path,
                                 "--out", out / "p.jsonl"],
     ),
     "predictions": (
-        "preds", ("label",),
+        "preds", ("label",), {"label": str},
         lambda run, path, out: ["evaluate", "--gold", run["distant"], "--pred", path,
                                 "--out", out / "r.json"],
     ),
 }
+_ANY_VALUES = (True, False, 0, 7, 0.5, "", "x", [], ["a"], {}, {"k": "v"})
 
 
-def _mutate(line: bytes, mutation: str, keys, data) -> bytes:
+def _mutate(line: bytes, mutation: str, keys, types, data) -> bytes:
     if mutation == "invalid_json":
         return line[:-1]  # drop the closing brace
     if mutation == "not_object":
@@ -349,18 +397,30 @@ def _mutate(line: bytes, mutation: str, keys, data) -> bytes:
         obj = json.loads(line)
         del obj[data.draw(st.sampled_from(keys))]
         return json.dumps(obj).encode("utf-8")
+    if mutation == "wrong_type":
+        obj = json.loads(line)
+        name = data.draw(st.sampled_from(sorted(types)))
+        kind = types[name]
+        value = data.draw(st.sampled_from(
+            [v for v in _ANY_VALUES if isinstance(v, bool) or not isinstance(v, kind)]))
+        *parents, key = name.split(".")
+        target = obj
+        for parent in parents:
+            target = target.setdefault(parent, {})
+        target[key] = value
+        return json.dumps(obj).encode("utf-8")
     position = data.draw(st.integers(0, len(line)))
     return line[:position] + b"\xff" + line[position:]
 
 
-@pytest.mark.parametrize("mutation", ["invalid_json", "not_object", "missing_key", "not_utf8"])
+@pytest.mark.parametrize("mutation", ["invalid_json", "not_object", "missing_key", "wrong_type", "not_utf8"])
 @pytest.mark.parametrize("kind", sorted(_INPUT_KINDS))
 @settings(max_examples=3, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_malformed_input_line_is_one_error_naming_file_and_line(
     trained_pipeline, fixture_corpus_path, kind, mutation, data
 ):
-    source, keys, argv_for = _INPUT_KINDS[kind]
+    source, keys, types, argv_for = _INPUT_KINDS[kind]
     run = {**trained_pipeline, "corpus": fixture_corpus_path}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
@@ -372,7 +432,7 @@ def test_malformed_input_line_is_one_error_naming_file_and_line(
             path = path / "epoch_001.jsonl"
         lines = path.read_bytes().splitlines()
         index = data.draw(st.integers(0, len(lines) - 1), label="line index")
-        lines[index] = _mutate(lines[index], mutation, keys, data)
+        lines[index] = _mutate(lines[index], mutation, keys, types, data)
         path.write_bytes(b"\n".join(lines) + b"\n")
         stderr = io.StringIO()
         with contextlib.redirect_stderr(stderr):

@@ -154,6 +154,42 @@ def test_mixed_ordering_rejected(tmp_path):
         load_corpus(path)
 
 
+def _two_turns(second: dict) -> list[dict]:
+    return [
+        {"id": "t1", "conversation_id": "c1", "speaker": "A", "text": "a", "ordinal": 0},
+        {"id": "t2", "conversation_id": "c1", "speaker": "B", "text": "b", "ordinal": 1, **second},
+    ]
+
+
+@pytest.mark.parametrize(
+    "second, needle",
+    [
+        ({"ordinal": "x"}, "'ordinal' must be an integer, got 'x'"),
+        ({"ordinal": True}, "'ordinal' must be an integer, got True"),
+        ({"ordinal": 0.5}, "'ordinal' must be an integer, got 0.5"),
+        ({"meta": "qy"}, "'meta' must be a JSON object, got 'qy'"),
+        ({"meta": []}, "'meta' must be a JSON object, got []"),
+        ({"meta": {"dialogue_act": ["qy"]}}, "'meta.dialogue_act' must be a string, got ['qy']"),
+        ({"reply_to": ["t1"]}, "'reply_to' must be a string, got ['t1']"),
+    ],
+)
+def test_wrong_typed_optional_field_names_line(tmp_path, second, needle):
+    path = tmp_path / "c.jsonl"
+    _write_jsonl(path, _two_turns(second))
+    with pytest.raises(CorpusFormatError) as excinfo:
+        load_corpus(path)
+    assert str(excinfo.value) == f"{path}: line 2: {needle}"
+
+
+def test_null_optional_fields_count_as_absent(tmp_path):
+    path = tmp_path / "c.jsonl"
+    _write_jsonl(path, _two_turns({"meta": {"dialogue_act": None}, "reply_to": None}))
+    second = load_corpus(path).dialogues[0].turns[1]
+    assert second.dialogue_act is None and second.ordinal == 1
+    _write_jsonl(path, _two_turns({"meta": None}))
+    assert load_corpus(path).dialogues[0].turns[1].dialogue_act is None
+
+
 def test_fixture_corpus_shape(fixture_corpus):
     assert len(fixture_corpus) == 12
     assert fixture_corpus.total_turns == 60

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ynkit import model as model_module
 from ynkit.blend import (
@@ -15,10 +16,11 @@ from ynkit.blend import (
     export_plan,
     load_plan,
 )
-from ynkit.corpus import LABEL_ORDER, Label
+from ynkit.corpus import LABEL_ORDER, Label, tokenize
 from ynkit.distant import QAInstance
 from ynkit.errors import InvalidConfigError, UnlabeledInstanceError
 from ynkit.model import (
+    FeatureMemo,
     LinearModel,
     TrainConfig,
     _probe_gradients,
@@ -103,6 +105,35 @@ def test_featurize_matches_plain_loop(config):
         expected = naive_featurize(inst, config)
         assert list(featurize(inst, config).items()) == list(expected.items())
         assert list(featurize(inst, config, memo).items()) == list(expected.items())
+
+
+# chunks of punctuation only, apostrophes, mixed and Unicode case; drawn
+# from a small set so that chunks repeat within and across instances
+_CHUNKS = st.one_of(
+    st.sampled_from(["?!", '"(Yes).', "don't", "DON'T?", "Don't.", "ΣΑΣ", "ΣΑΣ.", "İ", "(İyi)",
+                     "...", "yes", "Yes,", "YES", "x"]),
+    st.text(alphabet="aZ'?.,(\"Σİ", min_size=1, max_size=4),
+)
+_TEXTS = st.lists(
+    st.tuples(_CHUNKS, st.sampled_from([" ", "  ", "\t", "\n", "\u00a0"])), min_size=1, max_size=8
+).map(lambda parts: "".join(chunk + gap for chunk, gap in parts))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    texts=st.lists(st.tuples(st.lists(_TEXTS, max_size=2), _TEXTS, _TEXTS), min_size=1, max_size=4),
+    max_tokens=st.integers(1, 9),
+)
+def test_shared_chunk_memo_matches_plain_loop(texts, max_tokens):
+    """One FeatureMemo across many instances gives the oracle's features,
+    also where max_tokens_per_field cuts through a chunk's tokens."""
+    config = TrainConfig(num_buckets=2**6, ngram_orders=(1, 2, 3), max_tokens_per_field=max_tokens)
+    instances = [_inst(q, a, Label.YES, context=context) for context, q, a in texts]
+    memo = FeatureMemo()
+    for inst in instances + instances:
+        assert list(featurize(inst, config, memo).items()) == list(naive_featurize(inst, config).items())
+    assert all(tokens == [t.lower() for t in tokenize(chunk)] for chunk, tokens in memo.chunks.items())
+    assert all(bucket == fnv1a_64(key) % 2**6 for key, bucket in memo.items())
 
 
 def test_featurize_l2_normalized():
