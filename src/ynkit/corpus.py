@@ -13,12 +13,15 @@ corpus encodings.
 from __future__ import annotations
 
 import enum
+import gc
 import json
 import re
 import unicodedata
+from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import CorpusFormatError, UnmappedLabelError
 
@@ -44,9 +47,12 @@ def parse_label(value: str) -> Label:
         raise UnmappedLabelError(f"not a valid label: {value!r}") from None
 
 
-@dataclass(frozen=True)
-class Turn:
-    """One utterance. Ordinal is the 0-based position within its dialogue."""
+class Turn(NamedTuple):
+    """One utterance. Ordinal is the 0-based position within its dialogue.
+
+    A named tuple: immutable and hashable like a frozen dataclass, and
+    several times cheaper to build, which counts at one Turn per line.
+    """
 
     turn_id: str
     dialogue_id: str
@@ -111,6 +117,25 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
+def lowered_tokens(text: str, chunks: Optional[dict[str, list[str]]] = None) -> list[str]:
+    """The lowercased tokens of text, each whitespace chunk's looked up in
+    chunks (chunk -> lowercased tokens) and tokenized only when missing.
+
+    Valid because tokenize handles each whitespace chunk on its own. Pass
+    one dict to every call of a run so each distinct chunk is tokenized
+    once; the lists it holds must not be mutated.
+    """
+    if chunks is None:
+        chunks = {}
+    tokens: list[str] = []
+    for chunk in text.split():
+        lowered = chunks.get(chunk)
+        if lowered is None:
+            lowered = chunks[chunk] = [t.lower() for t in tokenize(chunk)]
+        tokens += lowered
+    return tokens
+
+
 def split_sentences(text: str) -> list[str]:
     """Split at '.', '?', or '!' followed by whitespace or end of string.
 
@@ -124,32 +149,34 @@ def split_sentences(text: str) -> list[str]:
     return [part for part in _SENT_SPLIT_RE.split(normalized) if part]
 
 
-def _normalize_text(text: str) -> str:
-    return unicodedata.normalize("NFC", text)
-
-
 def iter_jsonl(path: Union[str, Path]) -> Iterator[tuple[str, dict]]:
     """Yield (where, obj) for each non-blank line of a JSONL file.
 
     where reads "{path}: line N"; a line that is not UTF-8, not JSON, or
     not a JSON object raises CorpusFormatError prefixed by it.
     """
+    decode = json.JSONDecoder().decode
+    prefix = f"{path}: line "
     with Path(path).open("rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            where = f"{path}: line {lineno}"
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise CorpusFormatError(f"{where}: not UTF-8 ({exc.reason})") from None
-            if not line.strip():
+                raise CorpusFormatError(f"{prefix}{lineno}: not UTF-8 ({exc.reason})") from None
+            if line.isspace():  # a line read from a file is never empty
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{where}: invalid JSON ({exc.msg})") from None
-            if not isinstance(obj, dict):
-                raise CorpusFormatError(f"{where}: expected a JSON object")
-            yield where, obj
+                obj = decode(line)
+            except ValueError:
+                try:  # json.loads says why, naming a byte-order mark too
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CorpusFormatError(f"{prefix}{lineno}: invalid JSON ({exc.msg})") from None
+                except ValueError as exc:  # a number too long to convert
+                    raise CorpusFormatError(f"{prefix}{lineno}: invalid JSON ({exc})") from None
+            if type(obj) is not dict:
+                raise CorpusFormatError(f"{prefix}{lineno}: expected a JSON object")
+            yield prefix + str(lineno), obj
 
 
 def _require(obj: dict, key: str, where: str):
@@ -162,10 +189,18 @@ def _wrong_type(where: str, key: str, expected: str, value) -> CorpusFormatError
     return CorpusFormatError(f"{where}: {key!r} must be {expected}, got {value!r}")
 
 
-def _order_by_reply_chain(raw_turns: list[dict], conversation_id: str) -> list[dict]:
+_REQUIRED_KEYS = ("id", "conversation_id", "speaker", "text")
+_get_required = itemgetter(*_REQUIRED_KEYS)  # raises KeyError on the first missing key
+
+# load_corpus keeps each line as a tuple of these fields until its
+# conversation is ordered
+_ID, _SPEAKER, _TEXT, _ACT, _ORDINAL, _REPLY_TO = range(6)
+
+
+def _order_by_reply_chain(raw_turns: list[tuple], conversation_id: str) -> list[tuple]:
     """Linearize a conversation whose turns carry reply_to references."""
-    by_id = {t["id"]: t for t in raw_turns}
-    roots = [t for t in raw_turns if t.get("reply_to") in (None, "")]
+    by_id = {t[_ID]: t for t in raw_turns}
+    roots = [t for t in raw_turns if t[_REPLY_TO] in (None, "")]
     if len(roots) != 1:
         raise CorpusFormatError(
             f"conversation {conversation_id!r}: expected exactly one root turn "
@@ -173,28 +208,28 @@ def _order_by_reply_chain(raw_turns: list[dict], conversation_id: str) -> list[d
         )
     children: dict[str, list[str]] = {}
     for t in raw_turns:
-        parent = t.get("reply_to")
+        turn_id, parent = t[_ID], t[_REPLY_TO]
         if parent in (None, ""):
             continue
         if parent not in by_id:
             raise CorpusFormatError(
-                f"conversation {conversation_id!r}: turn {t['id']!r} replies to "
+                f"conversation {conversation_id!r}: turn {turn_id!r} replies to "
                 f"unknown turn {parent!r}"
             )
-        children.setdefault(parent, []).append(t["id"])
+        children.setdefault(parent, []).append(turn_id)
     ordered = [roots[0]]
     while True:
-        nxt = children.get(ordered[-1]["id"], [])
+        nxt = children.get(ordered[-1][_ID], [])
         if not nxt:
             break
         if len(nxt) > 1:
             raise CorpusFormatError(
-                f"conversation {conversation_id!r}: turn {ordered[-1]['id']!r} "
+                f"conversation {conversation_id!r}: turn {ordered[-1][_ID]!r} "
                 f"has multiple replies; chain is not linear"
             )
         ordered.append(by_id[nxt[0]])
     if len(ordered) != len(raw_turns):
-        missing = sorted(set(by_id) - {t["id"] for t in ordered})
+        missing = sorted(set(by_id) - {t[_ID] for t in ordered})
         raise CorpusFormatError(
             f"conversation {conversation_id!r}: turn {missing[0]!r} is not "
             f"reachable from the root reply chain"
@@ -207,14 +242,31 @@ def load_corpus(path: Union[str, Path]) -> Corpus:
 
     Dialogues are ordered lexicographically by id, turns by ordinal.
     """
+    # the load keeps nearly every object it builds, so a cyclic collection
+    # during it would rescan a growing heap and free nothing; pause them
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _load_corpus(path)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _load_corpus(path: Union[str, Path]) -> Corpus:
     seen_ids: set[str] = set()
-    conversations: dict[str, list[dict]] = {}
+    conversations: defaultdict[str, list[tuple]] = defaultdict(list)
+    normalize = unicodedata.normalize
     for where, obj in iter_jsonl(path):
-        turn_id = str(_require(obj, "id", where))
-        conv_id = str(_require(obj, "conversation_id", where))
-        speaker = str(_require(obj, "speaker", where))
-        text = _normalize_text(str(_require(obj, "text", where)))
-        if not text.strip():
+        try:
+            turn_id, conv_id, speaker, text = _get_required(obj)
+        except KeyError as exc:
+            raise CorpusFormatError(f"{where}: missing key {exc.args[0]!r}") from None
+        if not (type(turn_id) is type(conv_id) is type(speaker) is type(text) is str):
+            key = next(key for key in _REQUIRED_KEYS if type(obj[key]) is not str)
+            raise _wrong_type(where, key, "a string", obj[key])
+        text = normalize("NFC", text)
+        if not text or text.isspace():
             raise CorpusFormatError(f"{where}: turn {turn_id!r} has empty text")
         if turn_id in seen_ids:
             raise CorpusFormatError(f"{where}: duplicate turn id {turn_id!r}")
@@ -228,36 +280,27 @@ def load_corpus(path: Union[str, Path]) -> Corpus:
         if reply_to is not None and type(reply_to) is not str:
             raise _wrong_type(where, "reply_to", "a string", reply_to)
         meta = obj.get("meta")
-        if meta is None:
-            meta = {}
-        elif type(meta) is not dict:
-            raise _wrong_type(where, "meta", "a JSON object", meta)
-        act = meta.get("dialogue_act")
-        if act is not None and type(act) is not str:
-            raise _wrong_type(where, "meta.dialogue_act", "a string", act)
-        conversations.setdefault(conv_id, []).append(
-            {
-                "id": turn_id,
-                "speaker": speaker,
-                "text": text,
-                "ordinal": ordinal,
-                "reply_to": reply_to,
-                "dialogue_act": act,
-            }
-        )
+        act = None
+        if meta is not None:
+            if type(meta) is not dict:
+                raise _wrong_type(where, "meta", "a JSON object", meta)
+            act = meta.get("dialogue_act")
+            if act is not None and type(act) is not str:
+                raise _wrong_type(where, "meta.dialogue_act", "a string", act)
+        conversations[conv_id].append((turn_id, speaker, text, act, ordinal, reply_to))
 
     dialogues = []
     for conv_id in sorted(conversations):
         raw_turns = conversations[conv_id]
-        if all(t["ordinal"] is not None for t in raw_turns):
-            raw_turns = sorted(raw_turns, key=lambda t: t["ordinal"])
-            ordinals = [t["ordinal"] for t in raw_turns]
+        if all(t[_ORDINAL] is not None for t in raw_turns):
+            raw_turns.sort(key=itemgetter(_ORDINAL))
+            ordinals = [t[_ORDINAL] for t in raw_turns]
             if ordinals != list(range(len(raw_turns))):
                 raise CorpusFormatError(
                     f"conversation {conv_id!r}: ordinals must be consecutive "
                     f"from 0, got {ordinals}"
                 )
-        elif all(t["ordinal"] is None for t in raw_turns):
+        elif all(t[_ORDINAL] is None for t in raw_turns):
             raw_turns = _order_by_reply_chain(raw_turns, conv_id)
         else:
             raise CorpusFormatError(
@@ -265,15 +308,10 @@ def load_corpus(path: Union[str, Path]) -> Corpus:
                 f"reply_to ordering"
             )
         turns = tuple(
-            Turn(
-                turn_id=t["id"],
-                dialogue_id=conv_id,
-                ordinal=i,
-                speaker=t["speaker"],
-                text=t["text"],
-                dialogue_act=t["dialogue_act"],
-            )
-            for i, t in enumerate(raw_turns)
+            [
+                Turn(turn_id, conv_id, i, speaker, text, act)
+                for i, (turn_id, speaker, text, act, _, _) in enumerate(raw_turns)
+            ]
         )
         dialogues.append(Dialogue(dialogue_id=conv_id, turns=turns))
     return Corpus(dialogues=tuple(dialogues))

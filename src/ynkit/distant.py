@@ -51,10 +51,11 @@ class QAInstance:
             raise ValueError("distant instances must be labeled Yes or No")
 
 
-def label_direct_answer(answer_text: str) -> Optional[Label]:
+def label_direct_answer(answer_text: str, chunks: Optional[dict] = None) -> Optional[Label]:
     """Yes/No if exactly one polarity's keywords appear among the answer's
-    window tokens (qid.answer_window_tokens); None when neither or both do."""
-    tokens = set(answer_window_tokens(answer_text))
+    window tokens (qid.answer_window_tokens, chunks its memo); None when
+    neither or both do."""
+    tokens = answer_window_tokens(answer_text, chunks)
     saw_yes = not YES_KEYWORDS.isdisjoint(tokens)
     saw_no = not NO_KEYWORDS.isdisjoint(tokens)
     if saw_yes and not saw_no:
@@ -76,12 +77,13 @@ def extract_distant_instances(
     """
     by_dialogue = {d.dialogue_id: d for d in corpus}
     instances = []
+    chunks: dict[str, list[str]] = {}  # one lowered_tokens memo per call
     for match in matches:
         if match.answer is None:
             raise MalformedMatchError(
                 f"match on turn {match.question.turn_id!r} has no answer turn"
             )
-        label = label_direct_answer(match.answer.text)
+        label = label_direct_answer(match.answer.text, chunks)
         if label is None:
             continue
         dialogue = by_dialogue[match.question.dialogue_id]

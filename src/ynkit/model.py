@@ -29,7 +29,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .blend import TrainingPlan
-from .corpus import LABEL_ORDER, Label, parse_label, tokenize
+from .corpus import LABEL_ORDER, Label, lowered_tokens, parse_label
 from .distant import QAInstance
 from .errors import EmptyPlanError, InvalidConfigError, UnlabeledInstanceError
 
@@ -74,6 +74,11 @@ class TrainConfig:
             raise InvalidConfigError("ngram_orders must be positive integers")
         if len(set(self.ngram_orders)) != len(self.ngram_orders):
             raise InvalidConfigError("ngram_orders must not repeat an order")
+        # type(...) is int also rejects a boolean
+        if type(self.max_tokens_per_field) is not int or self.max_tokens_per_field < 1:
+            raise InvalidConfigError(
+                f"max_tokens_per_field must be an integer >= 1, got {self.max_tokens_per_field!r}"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -115,8 +120,7 @@ def _field_texts(instance: QAInstance, fields: tuple[str, ...]) -> tuple[str, ..
 
 class FeatureMemo(dict):
     """The n-gram key -> bucket memo of one run under one config, carrying
-    as `chunks` the same run's memo of whitespace chunk -> lowercased
-    tokens (valid because `tokenize` handles each chunk on its own)."""
+    as `chunks` the same run's `corpus.lowered_tokens` memo."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -139,12 +143,7 @@ def featurize(
     chunks = memo.chunks if isinstance(memo, FeatureMemo) else {}
     keys: list[str] = []
     for field_name, text in zip(config.fields_used, _field_texts(instance, config.fields_used)):
-        tokens: list[str] = []
-        for chunk in text.split():
-            lowered = chunks.get(chunk)
-            if lowered is None:
-                lowered = chunks[chunk] = [t.lower() for t in tokenize(chunk)]
-            tokens += lowered
+        tokens = lowered_tokens(text, chunks)
         del tokens[config.max_tokens_per_field :]
         prefix = FIELD_PREFIXES[field_name] + ":"
         for order in sorted(config.ngram_orders):
@@ -393,7 +392,7 @@ def load_model(path: Union[str, Path]) -> LinearModel:
         bias = _unb64(payload["bias_b64"], "<f8").astype(np.float64)
         columns = _unb64(payload["columns_b64"], "<i8")
         values = _unb64(payload["weights_b64"], "<f8").reshape(len(labels), len(columns))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidConfigError) as exc:
         raise InvalidConfigError(f"{path}: damaged {_FORMAT} file: {exc!r}") from None
     if bias.shape != (len(labels),) or np.any(np.diff(columns) <= 0) or (
         len(columns) and not 0 <= columns[0] <= columns[-1] < config.num_buckets

@@ -17,9 +17,9 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
-from .corpus import Corpus, Turn, _require, iter_jsonl, split_sentences, tokenize
+from .corpus import Corpus, Turn, _require, iter_jsonl, lowered_tokens, split_sentences
 from .errors import CorpusFormatError, NotAnnotatedError
 
 DEFAULT_AUXILIARY_VERBS = frozenset(
@@ -99,32 +99,37 @@ class QidStats:
     sample_seed: int
 
 
-def is_yes_no_question_relaxed(turn: Turn, config: QidRuleConfig = QidRuleConfig()) -> bool:
+def is_yes_no_question_relaxed(
+    turn: Turn, config: QidRuleConfig = QidRuleConfig(), chunks: Optional[dict] = None
+) -> bool:
     """Question-side rules: auxiliary present, no wh-word, more than
-    min_token_count_exclusive tokens, and text ends in '?'."""
+    min_token_count_exclusive tokens, and text ends in '?'.
+
+    chunks is a `corpus.lowered_tokens` memo; share one across a scan."""
     stripped = turn.text.rstrip()
     if not stripped.endswith("?"):
         return False
-    tokens = [t.lower() for t in tokenize(turn.text)]
+    tokens = lowered_tokens(turn.text, chunks)
     if len(tokens) <= config.min_token_count_exclusive:
         return False
-    if any(t in config.wh_words for t in tokens):
+    if not config.wh_words.isdisjoint(tokens):
         return False
-    return any(t in config.auxiliary_verbs for t in tokens)
+    return not config.auxiliary_verbs.isdisjoint(tokens)
 
 
-def answer_window_tokens(text: str) -> Iterator[str]:
-    """Lowercased tokens of the first ANSWER_SENTENCE_WINDOW sentences."""
+def answer_window_tokens(text: str, chunks: Optional[dict] = None) -> list[str]:
+    """Lowercased tokens of the first ANSWER_SENTENCE_WINDOW sentences;
+    chunks is a `corpus.lowered_tokens` memo."""
+    tokens: list[str] = []
     for sentence in split_sentences(text)[:ANSWER_SENTENCE_WINDOW]:
-        for token in tokenize(sentence):
-            yield token.lower()
+        tokens += lowered_tokens(sentence, chunks)
+    return tokens
 
 
-def has_direct_answer(next_turn: Turn) -> bool:
+def has_direct_answer(next_turn: Turn, chunks: Optional[dict] = None) -> bool:
     """True iff a yes or no keyword is among the turn's answer_window_tokens."""
-    return any(
-        t in YES_KEYWORDS or t in NO_KEYWORDS for t in answer_window_tokens(next_turn.text)
-    )
+    tokens = answer_window_tokens(next_turn.text, chunks)
+    return not (YES_KEYWORDS.isdisjoint(tokens) and NO_KEYWORDS.isdisjoint(tokens))
 
 
 def identify_by_dialogue_acts(turn: Turn, config: DialogueActConfig = DialogueActConfig()) -> bool:
@@ -161,6 +166,7 @@ def scan_corpus(
             raise NotAnnotatedError("corpus carries no dialogue-act annotations")
 
     matches: list[QidMatch] = []
+    chunks: dict[str, list[str]] = {}  # one lowered_tokens memo per scan
     for dialogue in corpus:
         for i, turn in enumerate(dialogue.turns):
             next_turn = dialogue.turns[i + 1] if i + 1 < len(dialogue.turns) else None
@@ -170,9 +176,9 @@ def scan_corpus(
                 if not identify_by_dialogue_acts(turn, act_config):
                     continue
             else:
-                if not is_yes_no_question_relaxed(turn, rule_config):
+                if not is_yes_no_question_relaxed(turn, rule_config, chunks):
                     continue
-            direct = next_turn is not None and has_direct_answer(next_turn)
+            direct = next_turn is not None and has_direct_answer(next_turn, chunks)
             if mode == "strict" and not direct:
                 continue
             matches.append(
@@ -218,13 +224,14 @@ def load_matches(path: Union[str, Path], corpus: Corpus) -> list[QidMatch]:
         return index[turn_id]
 
     matches = []
+    chunks: dict[str, list[str]] = {}
     for where, obj in iter_jsonl(path):
         question = turn(_require(obj, "question_turn_id", where), "question", where)
         answer = None
         if obj.get("answer_turn_id") is not None:
             answer = turn(obj["answer_turn_id"], "answer", where)
         mode = obj.get("mode", "relaxed")
-        direct = mode == "strict" or (answer is not None and has_direct_answer(answer))
+        direct = mode == "strict" or (answer is not None and has_direct_answer(answer, chunks))
         matches.append(
             QidMatch(question=question, answer=answer, mode=mode, has_direct_answer=direct)
         )

@@ -1,13 +1,18 @@
-"""Brute-force metric implementations used only as test oracles.
+"""Brute-force implementations used only as test oracles.
 
-Written as plain counting loops, independent of the package code paths
-they check.
+Written as plain loops, independent of the package code paths they check.
 """
+
+import json
+import unicodedata
+from pathlib import Path
 
 import numpy as np
 
-from ynkit.corpus import LABEL_ORDER, tokenize
+from ynkit.corpus import LABEL_ORDER, Corpus, Dialogue, Turn, split_sentences, tokenize
+from ynkit.errors import CorpusFormatError
 from ynkit.model import FIELD_PREFIXES, fnv1a_64
+from ynkit.qid import ANSWER_SENTENCE_WINDOW, NO_KEYWORDS, YES_KEYWORDS, QidMatch
 
 
 def naive_per_label_f1(gold, predicted):
@@ -76,3 +81,173 @@ def naive_featurize(instance, config):
     if norm > 0:
         counts = {k: v / norm for k, v in counts.items()}
     return counts
+
+
+# -- corpus loading: one dict per line, one check at a time --
+
+
+def _naive_lines(path):
+    """(where, obj) per non-blank line, through json.loads."""
+    with Path(path).open("rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            where = f"{path}: line {lineno}"
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorpusFormatError(f"{where}: not UTF-8 ({exc.reason})") from None
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusFormatError(f"{where}: invalid JSON ({exc.msg})") from None
+            if not isinstance(obj, dict):
+                raise CorpusFormatError(f"{where}: expected a JSON object")
+            yield where, obj
+
+
+def _naive_wrong_type(where, key, expected, value):
+    return CorpusFormatError(f"{where}: {key!r} must be {expected}, got {value!r}")
+
+
+def _naive_string(obj, key, where):
+    if key not in obj:
+        raise CorpusFormatError(f"{where}: missing key {key!r}")
+    if not isinstance(obj[key], str):
+        raise _naive_wrong_type(where, key, "a string", obj[key])
+    return obj[key]
+
+
+def _naive_reply_chain(raw_turns, conversation_id):
+    by_id = {t["id"]: t for t in raw_turns}
+    roots = [t for t in raw_turns if t.get("reply_to") in (None, "")]
+    if len(roots) != 1:
+        raise CorpusFormatError(
+            f"conversation {conversation_id!r}: expected exactly one root turn "
+            f"(reply_to null), found {len(roots)}"
+        )
+    children = {}
+    for t in raw_turns:
+        parent = t.get("reply_to")
+        if parent in (None, ""):
+            continue
+        if parent not in by_id:
+            raise CorpusFormatError(
+                f"conversation {conversation_id!r}: turn {t['id']!r} replies to "
+                f"unknown turn {parent!r}"
+            )
+        children.setdefault(parent, []).append(t["id"])
+    ordered = [roots[0]]
+    while True:
+        nxt = children.get(ordered[-1]["id"], [])
+        if not nxt:
+            break
+        if len(nxt) > 1:
+            raise CorpusFormatError(
+                f"conversation {conversation_id!r}: turn {ordered[-1]['id']!r} "
+                f"has multiple replies; chain is not linear"
+            )
+        ordered.append(by_id[nxt[0]])
+    if len(ordered) != len(raw_turns):
+        missing = sorted(set(by_id) - {t["id"] for t in ordered})
+        raise CorpusFormatError(
+            f"conversation {conversation_id!r}: turn {missing[0]!r} is not "
+            f"reachable from the root reply chain"
+        )
+    return ordered
+
+
+def naive_load_corpus(path):
+    """load_corpus as written before its one-pass loader: a six-key dict per
+    line, each required field fetched and checked on its own (they must be
+    strings), each Turn built by keyword."""
+    seen_ids = set()
+    conversations = {}
+    for where, obj in _naive_lines(path):
+        turn_id = _naive_string(obj, "id", where)
+        conv_id = _naive_string(obj, "conversation_id", where)
+        speaker = _naive_string(obj, "speaker", where)
+        text = unicodedata.normalize("NFC", _naive_string(obj, "text", where))
+        if not text.strip():
+            raise CorpusFormatError(f"{where}: turn {turn_id!r} has empty text")
+        if turn_id in seen_ids:
+            raise CorpusFormatError(f"{where}: duplicate turn id {turn_id!r}")
+        seen_ids.add(turn_id)
+        ordinal = obj.get("ordinal")
+        if ordinal is not None and (isinstance(ordinal, bool) or not isinstance(ordinal, int)):
+            raise _naive_wrong_type(where, "ordinal", "an integer", ordinal)
+        reply_to = obj.get("reply_to")
+        if reply_to is not None and not isinstance(reply_to, str):
+            raise _naive_wrong_type(where, "reply_to", "a string", reply_to)
+        meta = obj.get("meta")
+        if meta is None:
+            meta = {}
+        elif not isinstance(meta, dict):
+            raise _naive_wrong_type(where, "meta", "a JSON object", meta)
+        act = meta.get("dialogue_act")
+        if act is not None and not isinstance(act, str):
+            raise _naive_wrong_type(where, "meta.dialogue_act", "a string", act)
+        conversations.setdefault(conv_id, []).append(
+            {"id": turn_id, "speaker": speaker, "text": text, "ordinal": ordinal,
+             "reply_to": reply_to, "dialogue_act": act}
+        )
+
+    dialogues = []
+    for conv_id in sorted(conversations):
+        raw_turns = conversations[conv_id]
+        if all(t["ordinal"] is not None for t in raw_turns):
+            raw_turns = sorted(raw_turns, key=lambda t: t["ordinal"])
+            ordinals = [t["ordinal"] for t in raw_turns]
+            if ordinals != list(range(len(raw_turns))):
+                raise CorpusFormatError(
+                    f"conversation {conv_id!r}: ordinals must be consecutive "
+                    f"from 0, got {ordinals}"
+                )
+        elif all(t["ordinal"] is None for t in raw_turns):
+            raw_turns = _naive_reply_chain(raw_turns, conv_id)
+        else:
+            raise CorpusFormatError(
+                f"conversation {conv_id!r}: mixes explicit ordinals with "
+                f"reply_to ordering"
+            )
+        turns = tuple(
+            Turn(turn_id=t["id"], dialogue_id=conv_id, ordinal=i, speaker=t["speaker"],
+                 text=t["text"], dialogue_act=t["dialogue_act"])
+            for i, t in enumerate(raw_turns)
+        )
+        dialogues.append(Dialogue(dialogue_id=conv_id, turns=turns))
+    return Corpus(dialogues=tuple(dialogues))
+
+
+# -- question identification: every turn tokenized afresh --
+
+
+def naive_scan_corpus(corpus, mode, rule_config, act_config):
+    """The matches of qid.scan_corpus, by plain loops without a memo."""
+
+    def window_tokens(text):
+        return [t.lower() for s in split_sentences(text)[:ANSWER_SENTENCE_WINDOW] for t in tokenize(s)]
+
+    matches = []
+    for dialogue in corpus.dialogues:
+        for i, turn in enumerate(dialogue.turns):
+            answer = dialogue.turns[i + 1] if i + 1 < len(dialogue.turns) else None
+            if mode == "dialogue_act":
+                if turn.dialogue_act not in act_config.yes_no_act_labels:
+                    continue
+            else:
+                tokens = [t.lower() for t in tokenize(turn.text)]
+                if not (
+                    turn.text.rstrip().endswith("?")
+                    and len(tokens) > rule_config.min_token_count_exclusive
+                    and not any(t in rule_config.wh_words for t in tokens)
+                    and any(t in rule_config.auxiliary_verbs for t in tokens)
+                ):
+                    continue
+            direct = answer is not None and any(
+                t in YES_KEYWORDS or t in NO_KEYWORDS for t in window_tokens(answer.text)
+            )
+            if mode == "strict" and not direct:
+                continue
+            matches.append(QidMatch(question=turn, answer=answer, mode=mode, has_direct_answer=direct))
+    return matches

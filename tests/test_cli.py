@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import shlex
 import shutil
@@ -15,6 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ynkit.cli import main
+from ynkit.corpus import load_corpus
+from ynkit.synth import SynthConfig, make_distant_corpus
+
+from util import random_corpus
 
 ROOT = Path(__file__).parent.parent
 
@@ -249,6 +254,52 @@ def test_plan_blended_subcommand(fixture_corpus_path, tmp_path):
     assert len(manifest["epoch_sizes"]) == 3
 
 
+def _write_scrambled_corpus(path: Path, fixture_corpus_path: Path) -> None:
+    """A synth corpus plus the fixture and random dialogues, its lines
+    shuffled, every third conversation ordered by reply_to, not ordinal."""
+    corpus, _ = make_distant_corpus(SynthConfig(seed=3, n_distant_questions=300))
+    dialogues = (corpus.dialogues + load_corpus(fixture_corpus_path).dialogues
+                 + random_corpus(11, n_dialogues=90, max_turns=8).dialogues)
+    lines = []
+    for n, dialogue in enumerate(dialogues):
+        for turn in dialogue.turns:
+            record = {"id": turn.turn_id, "conversation_id": turn.dialogue_id,
+                      "speaker": turn.speaker, "text": turn.text}
+            if n % 3 == 2:
+                record["reply_to"] = dialogue.turns[turn.ordinal - 1].turn_id if turn.ordinal else None
+            else:
+                record["ordinal"] = turn.ordinal
+            if turn.dialogue_act is not None:
+                record["meta"] = {"dialogue_act": turn.dialogue_act}
+            lines.append(json.dumps(record, ensure_ascii=False) + "\n")
+    random.Random(5).shuffle(lines)
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+def test_identify_and_distill_outputs_are_pinned(fixture_corpus_path, tmp_path):
+    """identify and distill outputs on a shuffled corpus with both
+    orderings, pinned byte for byte: the digests are those of the
+    dict-per-line loader and the memo-free scan."""
+    corpus = tmp_path / "corpus.jsonl"
+    _write_scrambled_corpus(corpus, fixture_corpus_path)
+    out = {name: tmp_path / name for name in
+           ("relaxed.jsonl", "strict.jsonl", "audit.tsv", "distant.jsonl")}
+    for argv in (
+        ["identify", "--corpus", corpus, "--mode", "relaxed", "--out", out["relaxed.jsonl"]],
+        ["identify", "--corpus", corpus, "--mode", "strict", "--sample", "20", "--seed", "4",
+         "--out", out["strict.jsonl"], "--audit", out["audit.tsv"]],
+        ["distill", "--corpus", corpus, "--matches", out["strict.jsonl"], "--balance",
+         "--seed", "4", "--out", out["distant.jsonl"]],
+    ):
+        assert main([str(arg) for arg in argv]) == 0, argv
+    assert {name: _hash(path) for name, path in out.items()} == {
+        "relaxed.jsonl": "51b005a3ae5d4792b48bcc04ddb755023bf9fb2d705693cbecd05c4a0278283d",
+        "strict.jsonl": "5509838726d46ae06c8f1e8b4eef85634b23a582ef0cd984c06f20b68622cd4c",
+        "audit.tsv": "e84e59863225fe92363d0bcbc4627ebe81fff0809f595a1a2980e8ef9c595029",
+        "distant.jsonl": "980a8f4100d80f5fd3387c904c8048483795985273ecb70a9a9882261d0ce82c",
+    }
+
+
 @pytest.fixture(scope="module")
 def trained_pipeline(fixture_corpus_path, tmp_path_factory):
     return _run_pipeline(fixture_corpus_path, tmp_path_factory.mktemp("pipeline"))
@@ -303,6 +354,19 @@ def test_predict_rejects_truncated_model(trained_pipeline, tmp_path, capsys):
     _assert_one_line_error(rc, capsys.readouterr().err, str(damaged))
 
 
+@pytest.mark.parametrize("value", ["5", -2])
+def test_predict_rejects_bad_max_tokens_per_field(trained_pipeline, tmp_path, capsys, value):
+    damaged = tmp_path / "model.json"
+    payload = json.loads(trained_pipeline["model"].read_text(encoding="utf-8"))
+    payload["config"]["max_tokens_per_field"] = value
+    damaged.write_text(json.dumps(payload), encoding="utf-8")
+    rc = main(["predict", "--model", str(damaged), "--in", str(trained_pipeline["distant"]),
+               "--out", str(tmp_path / "preds.jsonl")])
+    err = capsys.readouterr().err
+    _assert_one_line_error(rc, err, f"error: {damaged}: damaged ")
+    assert f"max_tokens_per_field must be an integer >= 1, got {value!r}" in err
+
+
 def _predict_with_cpus(monkeypatch, capsys, cpus, run, infile, out) -> tuple[bytes, int]:
     """The predictions file written with `cpus` available CPUs, and the
     number of processes forked for it."""
@@ -352,7 +416,8 @@ _INSTANCE_TYPES = {"question": str, "answer": str, "context": list, "origin": di
 _INPUT_KINDS = {
     "corpus": (
         "corpus", ("id", "conversation_id", "speaker", "text"),
-        {"ordinal": int, "reply_to": str, "meta": dict, "meta.dialogue_act": str},
+        {"id": str, "conversation_id": str, "speaker": str, "text": str,
+         "ordinal": int, "reply_to": str, "meta": dict, "meta.dialogue_act": str},
         lambda run, path, out: ["identify", "--corpus", path, "--out", out / "m.jsonl"],
     ),
     "matches": (

@@ -69,6 +69,9 @@ def test_train_config_validation():
         TrainConfig(ngram_orders=(1, 2, 1))
     with pytest.raises(InvalidConfigError, match="repeat"):
         TrainConfig(fields_used=("question", "question"))
+    for bad in ("5", -2, 0, True, 3.0):
+        with pytest.raises(InvalidConfigError, match="max_tokens_per_field must be an integer >= 1"):
+            TrainConfig(max_tokens_per_field=bad)
 
 
 def test_featurize_deterministic_and_field_masked():

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ynkit.corpus import Turn, tokenize
+import ynkit.corpus as corpus_module
+from ynkit.corpus import Corpus, Dialogue, Turn, tokenize
 from ynkit.errors import CorpusFormatError, NotAnnotatedError
 from ynkit.qid import (
     DialogueActConfig,
@@ -14,6 +16,7 @@ from ynkit.qid import (
     write_audit_sample,
     write_matches,
 )
+from oracles import naive_scan_corpus
 from util import random_corpus
 
 # hand-marked expectations for the bundled 60-turn fixture
@@ -149,6 +152,58 @@ def test_rule_monotonicity_on_random_corpora():
         count = lambda cfg: len(scan_corpus(corpus, "relaxed", cfg, sample_size=0, seed=0)[0])
         assert count(fewer_wh) >= count(base)
         assert count(fewer_aux) <= count(base)
+
+
+# chunks that repeat across turns with different punctuation and case,
+# split across sentences, and whitespace other than a space
+_SCAN_CHUNKS = st.sampled_from([
+    "Do", "do", "DON'T", "is", "Is", "you", "it", "what", "How", "yes", "Yes,", "(yes)", "YEAH!",
+    "no", "No.", "nope?", "nobody", "noon", "sure.", "maybe.", "Well.", "?", "?!", "...", "plan",
+])
+_SCAN_TEXTS = st.tuples(
+    st.lists(st.tuples(_SCAN_CHUNKS, st.sampled_from([" ", " ", "  ", "\t", "\u00a0"])),
+             min_size=1, max_size=9),
+    st.sampled_from(["", "?", " ?", "? "]),
+).map(lambda text: "".join(chunk + gap for chunk, gap in text[0]).rstrip() + text[1])
+
+
+@st.composite
+def _scan_corpora(draw) -> Corpus:
+    dialogues = []
+    for d in range(draw(st.integers(1, 4))):
+        texts = draw(st.lists(st.tuples(_SCAN_TEXTS, st.sampled_from([None, "qy", "sd", "^g"])),
+                              min_size=1, max_size=6))
+        turns = tuple(Turn(f"d{d}-t{i}", f"d{d}", i, "AB"[i % 2], text, act)
+                      for i, (text, act) in enumerate(texts))
+        dialogues.append(Dialogue(dialogue_id=f"d{d}", turns=turns))
+    return Corpus(dialogues=tuple(dialogues))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(corpus=_scan_corpora())
+def test_scan_matches_memo_free_oracle(corpus):
+    rules, acts = QidRuleConfig(), DialogueActConfig()
+    for mode in ("relaxed", "strict", "dialogue_act"):
+        try:
+            matches, _ = scan_corpus(corpus, mode, rules, acts, sample_size=0)
+        except NotAnnotatedError:
+            assert mode == "dialogue_act"
+            assert all(t.dialogue_act is None for d in corpus for t in d.turns)
+            continue
+        assert matches == naive_scan_corpus(corpus, mode, rules, acts)
+
+
+def test_scan_tokenizes_each_distinct_chunk_once(fixture_corpus, monkeypatch):
+    corpus = Corpus(dialogues=fixture_corpus.dialogues + random_corpus(3, n_dialogues=40).dialogues)
+    expected = {mode: scan_corpus(corpus, mode, sample_size=0)[0] for mode in ("relaxed", "strict")}
+    calls = []
+    real = corpus_module.tokenize
+    monkeypatch.setattr(corpus_module, "tokenize", lambda text: calls.append(text) or real(text))
+    chunks = {chunk for d in corpus for t in d.turns for chunk in t.text.split()}
+    for mode in ("relaxed", "strict"):
+        calls.clear()
+        assert scan_corpus(corpus, mode, sample_size=0)[0] == expected[mode]
+        assert calls and len(calls) == len(set(calls)) and set(calls) <= chunks
 
 
 def test_scan_determinism(fixture_corpus):
