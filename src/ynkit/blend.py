@@ -9,7 +9,6 @@ cap, when set, subsamples the distant pool once before planning.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import random
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .distant import QAInstance, instance_to_dict, read_instances, write_instances
+from .distant import QAInstance, read_instances, write_instances
 from .errors import EmptyPlanError, InvalidConfigError
 
 STRATEGIES = ("gold_only", "merged", "blended")
@@ -168,15 +167,17 @@ def build_blended_plan(
 
 def export_plan(plan: TrainingPlan, directory: Union[str, Path]) -> list[Path]:
     """Write epoch_000.jsonl ... plus plan.json; byte-identical re-export
-    for identical inputs."""
+    for identical inputs. Each distinct instance is serialized once per
+    call, however many epochs repeat it."""
     if not plan.epochs:
         raise EmptyPlanError("cannot export a plan with no epochs")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
+    lines: dict[int, str] = {}  # the plan keeps each instance alive
     for i, epoch in enumerate(plan.epochs):
         path = directory / f"epoch_{i:03d}.jsonl"
-        write_instances(epoch.instances, path)
+        write_instances(epoch.instances, path, lines)
         written.append(path)
     manifest = dict(plan.provenance)
     manifest["epoch_sizes"] = [len(e.instances) for e in plan.epochs]
@@ -196,7 +197,8 @@ def load_plan(directory: Union[str, Path]) -> TrainingPlan:
     epoch_000.jsonl onwards, and the row count of each; a missing, extra or
     mis-sized epoch file is an error. Gold/distant counts per epoch come
     from plan.json; instance identity within each epoch file is preserved
-    in order.
+    in order. Each distinct line is decoded once per call, and every row
+    that repeats it, in any epoch, is the same object.
     """
     directory = Path(directory)
     plan_path = directory / "plan.json"
@@ -223,8 +225,9 @@ def load_plan(directory: Union[str, Path]) -> TrainingPlan:
     if stray:
         raise InvalidConfigError(f"{stray[0]}: not listed in plan.json")
     epochs = []
+    decoded: dict[bytes, QAInstance] = {}
     for path, size, gold_count in zip(expected, sizes, gold_counts):
-        instances = tuple(read_instances(path))
+        instances = tuple(read_instances(path, decoded))
         if len(instances) != size:
             raise InvalidConfigError(
                 f"{path}: {len(instances)} rows, plan.json lists {size}"
@@ -241,12 +244,3 @@ def load_plan(directory: Union[str, Path]) -> TrainingPlan:
     strategy = manifest.get("strategy", "merged")
     return TrainingPlan(epochs=tuple(epochs), strategy=strategy, provenance=manifest)
 
-
-def plan_instances_digest(plan: TrainingPlan) -> str:
-    """Stable content digest used by tests to compare plans."""
-    h = hashlib.sha256()
-    for epoch in plan.epochs:
-        for inst in epoch.instances:
-            h.update(json.dumps(instance_to_dict(inst), sort_keys=True).encode("utf-8"))
-        h.update(b"\x00")
-    return h.hexdigest()

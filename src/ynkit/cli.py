@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import blend, distant, evaluation, llm_probe, qid
+from . import distant, qid
 from .corpus import Label, _require, iter_jsonl, load_corpus, parse_label
 from .errors import CorpusFormatError, InvalidConfigError, UnmappedLabelError, YnkitError
 
@@ -113,6 +113,8 @@ def _cmd_distill(args) -> int:
 
 
 def _cmd_plan(args) -> int:
+    from . import blend  # each step imports only the modules it uses
+
     gold = distant.read_instances(args.gold) if args.gold else []
     distant_pool = distant.read_instances(args.distant) if args.distant else []
     if args.strategy == "blended":
@@ -145,7 +147,7 @@ def _ngram_orders(value) -> tuple[int, ...]:
 
 
 def _cmd_train(args) -> int:
-    from . import model  # numpy loads only for the steps that need it
+    from . import blend, model  # numpy loads only for the steps that need it
 
     config = model.TrainConfig(
         learning_rate=args.lr,
@@ -209,6 +211,8 @@ def _read_pred_labels(path: str) -> list[Optional[Label]]:
 
 
 def _cmd_evaluate(args) -> int:
+    from . import evaluation
+
     gold_instances = distant.read_instances(args.gold)
     gold = [inst.label for inst in gold_instances]
     if any(label is None for label in gold):
@@ -236,6 +240,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    from . import llm_probe
+
     instances = distant.read_instances(args.infile)
     template = llm_probe.PromptTemplate()
     if args.shots:

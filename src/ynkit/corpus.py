@@ -21,7 +21,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import CorpusFormatError, UnmappedLabelError
 
@@ -149,16 +149,29 @@ def split_sentences(text: str) -> list[str]:
     return [part for part in _SENT_SPLIT_RE.split(normalized) if part]
 
 
-def iter_jsonl(path: Union[str, Path]) -> Iterator[tuple[str, dict]]:
-    """Yield (where, obj) for each non-blank line of a JSONL file.
+def iter_jsonl(
+    path: Union[str, Path],
+    parse: Optional[Callable[[str, dict], object]] = None,
+    memo: Optional[dict[bytes, object]] = None,
+) -> Iterator[tuple[str, object]]:
+    """Yield (where, value) for each non-blank line of a JSONL file.
 
     where reads "{path}: line N"; a line that is not UTF-8, not JSON, or
-    not a JSON object raises CorpusFormatError prefixed by it.
+    not a JSON object raises CorpusFormatError prefixed by it. value is the
+    object, or parse(where, object) when parse is given. memo (raw line
+    bytes -> value), shared by the calls of one run, decodes and parses
+    each distinct line once: a repeat yields the value of its first copy,
+    whose bytes passed every check already.
     """
     decode = json.JSONDecoder().decode
     prefix = f"{path}: line "
     with Path(path).open("rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
+            if memo is not None:
+                value = memo.get(raw)
+                if value is not None:
+                    yield prefix + str(lineno), value
+                    continue
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
@@ -176,7 +189,11 @@ def iter_jsonl(path: Union[str, Path]) -> Iterator[tuple[str, dict]]:
                     raise CorpusFormatError(f"{prefix}{lineno}: invalid JSON ({exc})") from None
             if type(obj) is not dict:
                 raise CorpusFormatError(f"{prefix}{lineno}: expected a JSON object")
-            yield prefix + str(lineno), obj
+            where = prefix + str(lineno)
+            value = obj if parse is None else parse(where, obj)
+            if memo is not None:
+                memo[raw] = value
+            yield where, value
 
 
 def _require(obj: dict, key: str, where: str):

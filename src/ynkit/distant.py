@@ -170,17 +170,43 @@ def instance_from_dict(obj: dict) -> QAInstance:
     return inst
 
 
-def write_instances(instances: Iterable[QAInstance], path: Union[str, Path]) -> None:
+_encode = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps(..., ensure_ascii=False)
+
+
+def write_instances(
+    instances: Iterable[QAInstance],
+    path: Union[str, Path],
+    lines: Optional[dict[int, str]] = None,
+) -> None:
+    """Stream instances to path, one JSON line each.
+
+    lines (id of an instance -> its line), shared by the calls of one run,
+    serializes each instance object once; the caller keeps every instance
+    alive while lines is in use, so that no id is reused.
+    """
     with Path(path).open("w", encoding="utf-8") as handle:
+        if lines is None:
+            for inst in instances:
+                handle.write(_encode(instance_to_dict(inst)) + "\n")
+            return
         for inst in instances:
-            handle.write(json.dumps(instance_to_dict(inst), ensure_ascii=False) + "\n")
+            line = lines.get(id(inst))
+            if line is None:
+                line = lines[id(inst)] = _encode(instance_to_dict(inst)) + "\n"
+            handle.write(line)
 
 
-def read_instances(path: Union[str, Path]) -> list[QAInstance]:
-    instances = []
-    for where, obj in iter_jsonl(path):
-        try:
-            instances.append(instance_from_dict(obj))
-        except (KeyError, TypeError, ValueError, UnmappedLabelError) as exc:
-            raise CorpusFormatError(f"{where}: bad instance record ({exc})") from None
-    return instances
+def _parse_instance(where: str, obj: dict) -> QAInstance:
+    try:
+        return instance_from_dict(obj)
+    except (KeyError, TypeError, ValueError, UnmappedLabelError) as exc:
+        raise CorpusFormatError(f"{where}: bad instance record ({exc})") from None
+
+
+def read_instances(
+    path: Union[str, Path], memo: Optional[dict[bytes, QAInstance]] = None
+) -> list[QAInstance]:
+    """The instances of a JSONL file, in line order. memo (raw line bytes
+    -> instance), shared by the calls of one run, decodes each distinct
+    line once, and every repeat of it is the same object."""
+    return [inst for _, inst in iter_jsonl(path, _parse_instance, memo)]

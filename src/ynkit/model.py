@@ -9,10 +9,13 @@ function of (plan, config), so retraining reproduces bitwise-identical
 weights.
 
 Within one run each distinct text is featurized once: `train` keeps the
-feature arrays of each distinct tuple of field texts for every row that
-repeats it, and a `train` run, like a loaded model across its `predict`
-calls, tokenizes each distinct whitespace chunk and hashes each distinct
-n-gram once through a `FeatureMemo` it owns.
+feature arrays of each distinct instance object and of each distinct tuple
+of field texts for every row that repeats it, and a `train` run, like a
+loaded model across its `predict` calls, tokenizes each distinct
+whitespace chunk and hashes each distinct n-gram once through a
+`FeatureMemo` it owns. The memo holds one table per (field, order), keyed
+by the n-gram's tokens, so a repeated n-gram builds no key string. Each
+SGD row gathers its weight rows once, from a (buckets, classes) array.
 """
 
 from __future__ import annotations
@@ -70,11 +73,13 @@ class TrainConfig:
                 raise InvalidConfigError(f"unknown field {f!r}")
         if len(set(self.fields_used)) != len(self.fields_used):
             raise InvalidConfigError("fields_used must not repeat a field")
-        if not self.ngram_orders or any(n < 1 for n in self.ngram_orders):
-            raise InvalidConfigError("ngram_orders must be positive integers")
+        # type(...) is int also rejects a boolean, which would alias order 1
+        if not self.ngram_orders or any(type(n) is not int or n < 1 for n in self.ngram_orders):
+            raise InvalidConfigError(
+                f"ngram_orders must be integers >= 1, got {list(self.ngram_orders)!r}"
+            )
         if len(set(self.ngram_orders)) != len(self.ngram_orders):
             raise InvalidConfigError("ngram_orders must not repeat an order")
-        # type(...) is int also rejects a boolean
         if type(self.max_tokens_per_field) is not int or self.max_tokens_per_field < 1:
             raise InvalidConfigError(
                 f"max_tokens_per_field must be an integer >= 1, got {self.max_tokens_per_field!r}"
@@ -118,9 +123,37 @@ def _field_texts(instance: QAInstance, fields: tuple[str, ...]) -> tuple[str, ..
     return tuple(texts)
 
 
+class _Unigrams(dict):
+    """One field's unigram -> bucket table: a token is hashed, as the field
+    prefix plus the token, on its first lookup only."""
+
+    __slots__ = ("prefix", "mask")
+
+    def __init__(self, prefix: str, mask: int) -> None:
+        super().__init__()
+        self.prefix = prefix
+        self.mask = mask
+
+    def __missing__(self, token: str) -> int:
+        bucket = self[token] = fnv1a_64(self.prefix + token) & self.mask
+        return bucket
+
+
+class _Ngrams(_Unigrams):
+    """One field's table for n-grams of one order above 1, each a tuple of
+    tokens, whose key string joins the tokens with "_"."""
+
+    __slots__ = ()
+
+    def __missing__(self, gram: tuple[str, ...]) -> int:
+        bucket = self[gram] = fnv1a_64(self.prefix + "_".join(gram)) & self.mask
+        return bucket
+
+
 class FeatureMemo(dict):
-    """The n-gram key -> bucket memo of one run under one config, carrying
-    as `chunks` the same run's `corpus.lowered_tokens` memo."""
+    """The n-gram memo of one run under one config: (field, order) -> the
+    bucket table of that field's n-grams of that order, carrying as
+    `chunks` the same run's `corpus.lowered_tokens` memo."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -130,32 +163,34 @@ class FeatureMemo(dict):
 def featurize(
     instance: QAInstance,
     config: TrainConfig = TrainConfig(),
-    memo: Optional[dict[str, int]] = None,
+    memo: Optional[dict] = None,
 ) -> dict[int, float]:
     """Sparse L2-normalized bucket->weight map for one instance.
 
-    memo maps n-gram keys to their buckets under this config; pass the same
-    dict to every call of a run so each distinct n-gram is hashed once. A
+    memo maps each (field, order) to its n-gram -> bucket table under this
+    config; pass the same dict to every call of a run so each distinct
+    n-gram is hashed once and a repeated one builds no key string. A
     FeatureMemo also keeps each distinct chunk's tokens for the run.
     """
     if memo is None:
         memo = {}
     chunks = memo.chunks if isinstance(memo, FeatureMemo) else {}
-    keys: list[str] = []
+    orders = sorted(config.ngram_orders)
+    mask = config.num_buckets - 1
+    buckets: list[int] = []
     for field_name, text in zip(config.fields_used, _field_texts(instance, config.fields_used)):
         tokens = lowered_tokens(text, chunks)
         del tokens[config.max_tokens_per_field :]
-        prefix = FIELD_PREFIXES[field_name] + ":"
-        for order in sorted(config.ngram_orders):
-            grams = zip(*(tokens[i:] for i in range(order)))
-            keys += [prefix + "_".join(gram) for gram in grams]
-    mask = config.num_buckets - 1
-    for key in keys:
-        if key not in memo:
-            memo[key] = fnv1a_64(key) & mask
+        for order in orders:
+            table = memo.get((field_name, order))
+            if table is None:
+                kind = _Unigrams if order == 1 else _Ngrams
+                table = memo[field_name, order] = kind(FIELD_PREFIXES[field_name] + ":", mask)
+            grams = tokens if order == 1 else zip(*(tokens[i:] for i in range(order)))
+            buckets += map(table.__getitem__, grams)
     # buckets in first-seen order; the counts are exact integers, so the
     # norm does not depend on how they were accumulated
-    counts = Counter(map(memo.__getitem__, keys))
+    counts = Counter(buckets)
     norm = math.sqrt(sum(c * c for c in counts.values()))
     return {bucket: c / norm for bucket, c in counts.items()}
 
@@ -206,49 +241,62 @@ def train(plan: TrainingPlan, config: TrainConfig = TrainConfig()) -> LinearMode
 
     L2 is applied as per-step multiplicative decay, tracked lazily through
     a scalar so updates stay sparse. Rows with equal field texts share one
-    featurization, whether or not they are the same object.
+    featurization, whether or not they are the same object. The weights
+    are kept as (buckets, classes), so that each row gathers its weights
+    from contiguous memory, once.
     """
     if not plan.epochs or all(len(e.instances) == 0 for e in plan.epochs):
         raise EmptyPlanError("training plan contains no instances")
     labels = LABEL_ORDER
     label_index = {label: i for i, label in enumerate(labels)}
-    stored = np.zeros((len(labels), config.num_buckets), dtype=np.float64)
+    stored = np.zeros((config.num_buckets, len(labels)), dtype=np.float64)
     bias = np.zeros(len(labels), dtype=np.float64)
     scale = 1.0
     decay = 1.0 - config.learning_rate * config.l2
     lr = config.learning_rate
 
+    # each row's (indices, values, label index) by instance identity (the
+    # plan keeps every instance alive, so no id is reused); the feature
+    # arrays by field texts
+    by_object: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
     pool: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = {}
     memo = FeatureMemo()
 
     for epoch in plan.epochs:
         for inst in epoch.instances:
-            if inst.label is None:
-                raise UnlabeledInstanceError(
-                    f"unlabeled instance with origin {inst.origin_ids}"
-                )
-            key = _field_texts(inst, config.fields_used)
-            arrays = pool.get(key)
-            if arrays is None:
-                arrays = pool[key] = _as_arrays(featurize(inst, config, memo))
-            indices, values = arrays
+            row = by_object.get(id(inst))
+            if row is None:
+                if inst.label is None:
+                    raise UnlabeledInstanceError(
+                        f"unlabeled instance with origin {inst.origin_ids}"
+                    )
+                key = _field_texts(inst, config.fields_used)
+                arrays = pool.get(key)
+                if arrays is None:
+                    arrays = pool[key] = _as_arrays(featurize(inst, config, memo))
+                row = by_object[id(inst)] = (*arrays, label_index[inst.label])
+            indices, values, target = row
             if len(indices) == 0:
+                rows = None
                 scores = bias.copy()
             else:
-                scores = scale * (stored[:, indices] @ values) + bias
+                rows = stored.take(indices, axis=0)
+                scores = scale * (rows.T @ values) + bias
             probs = softmax(scores)
-            probs[label_index[inst.label]] -= 1.0  # now the gradient wrt scores
+            probs[target] -= 1.0  # now the gradient wrt scores
             scale *= decay
             if scale < 1e-12:  # fold the lazy decay back in before underflow
                 stored *= scale
+                if rows is not None:
+                    rows *= scale
                 scale = 1.0
-            if len(indices):
-                stored[:, indices] -= (lr / scale) * np.outer(probs, values)
+            if rows is not None:
+                stored[indices] = rows - (lr / scale) * (values[:, None] * probs)
             bias -= lr * probs
 
     return LinearModel(
         class_labels=labels,
-        weights=stored * scale,
+        weights=np.ascontiguousarray((stored * scale).T),
         bias=bias,
         feature_config=config,
     )

@@ -3,6 +3,7 @@
 Written as plain loops, independent of the package code paths they check.
 """
 
+import hashlib
 import json
 import unicodedata
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from ynkit.corpus import LABEL_ORDER, Corpus, Dialogue, Turn, split_sentences, tokenize
+from ynkit.distant import instance_to_dict
 from ynkit.errors import CorpusFormatError
 from ynkit.model import FIELD_PREFIXES, fnv1a_64
 from ynkit.qid import ANSWER_SENTENCE_WINDOW, NO_KEYWORDS, YES_KEYWORDS, QidMatch
@@ -251,3 +253,13 @@ def naive_scan_corpus(corpus, mode, rule_config, act_config):
                 continue
             matches.append(QidMatch(question=turn, answer=answer, mode=mode, has_direct_answer=direct))
     return matches
+
+
+def plan_instances_digest(plan):
+    """Stable content digest of a plan's instances, epoch by epoch."""
+    h = hashlib.sha256()
+    for epoch in plan.epochs:
+        for inst in epoch.instances:
+            h.update(json.dumps(instance_to_dict(inst), sort_keys=True).encode("utf-8"))
+        h.update(b"\x00")
+    return h.hexdigest()

@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import json
 
 import pytest
@@ -12,12 +13,13 @@ from ynkit.blend import (
     export_plan,
     gold_fraction,
     load_plan,
-    plan_instances_digest,
     round_half_away_from_zero,
 )
 from ynkit.corpus import Label
-from ynkit.distant import QAInstance
-from ynkit.errors import EmptyPlanError, InvalidConfigError
+from ynkit.distant import QAInstance, read_instances
+from ynkit.errors import CorpusFormatError, EmptyPlanError, InvalidConfigError
+
+from oracles import plan_instances_digest
 
 
 def _instances(n, label, source, prefix):
@@ -187,6 +189,69 @@ def test_load_plan_round_trip(tmp_path):
     assert loaded.strategy == "merged"
     assert [e.gold_count for e in loaded.epochs] == [6, 6]
     assert [e.instances for e in loaded.epochs] == [e.instances for e in plan.epochs]
+
+
+def test_export_plan_pinned_digest(tmp_path):
+    """The exported files of a blended plan, non-ASCII text and context
+    included, byte for byte."""
+    odd = QAInstance(
+        context=("Ça va ?", '"quoted"\ttab'),
+        question="Tú también?",
+        answer="Sí — 当然",
+        label=Label.NO,
+        source="gold",
+        origin_ids=("u", "u-q", "u-a"),
+    )
+    plan = build_blended_plan(GOLD[:30] + [odd], DISTANT[:60], BlendConfig(alpha=0.5, m=3, n=2, seed=6))
+    export_plan(plan, tmp_path)
+    h = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        h.update(path.name.encode("utf-8") + b"\0" + hashlib.sha256(path.read_bytes()).digest())
+    assert h.hexdigest() == "e767b5c79d37b70f78c202d298261402fcaa8e14e346ea3bbbeb8b562e2cb4b4"
+
+
+def _exported_blended(tmp_path):
+    plan = build_blended_plan(GOLD[:20], DISTANT[:30], BlendConfig(alpha=0.5, m=3, n=2, seed=4))
+    export_plan(plan, tmp_path)
+    return plan
+
+
+def test_load_plan_matches_reading_each_file_alone(tmp_path):
+    plan = _exported_blended(tmp_path)
+    loaded = load_plan(tmp_path)
+    alone = [tuple(read_instances(tmp_path / f"epoch_{i:03d}.jsonl")) for i in range(len(plan.epochs))]
+    assert [e.instances for e in loaded.epochs] == alone == [e.instances for e in plan.epochs]
+    assert [e.gold_count for e in loaded.epochs] == [e.gold_count for e in plan.epochs]
+
+
+def test_load_plan_repeated_rows_are_one_object(tmp_path):
+    _exported_blended(tmp_path)
+    rows = [inst for epoch in load_plan(tmp_path).epochs for inst in epoch.instances]
+    distinct = set(rows)
+    assert len(distinct) < len(rows)
+    assert len({id(inst) for inst in rows}) == len(distinct)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda line: line[: len(line) // 2] + "\n",
+        lambda line: line.replace('"question": "', '"question": 7, "was": "', 1),
+    ],
+    ids=["invalid_json", "wrong_type"],
+)
+def test_load_plan_damaged_copy_of_accepted_row_names_its_line(tmp_path, damage):
+    """A memo hit is a byte-identical copy of an accepted line; a damaged
+    copy is checked and named, though its original loaded fine earlier."""
+    _exported_blended(tmp_path)
+    first = (tmp_path / "epoch_000.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    path = tmp_path / "epoch_003.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    n = next(i for i, line in enumerate(lines) if line in first)
+    lines[n] = damage(lines[n])
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=f"epoch_003.jsonl: line {n + 1}: "):
+        load_plan(tmp_path)
 
 
 def test_load_plan_missing_dir(tmp_path):

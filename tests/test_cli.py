@@ -367,6 +367,19 @@ def test_predict_rejects_bad_max_tokens_per_field(trained_pipeline, tmp_path, ca
     assert f"max_tokens_per_field must be an integer >= 1, got {value!r}" in err
 
 
+@pytest.mark.parametrize("value", [[1.5], [True, 2]])
+def test_predict_rejects_non_integer_ngram_orders(trained_pipeline, tmp_path, capsys, value):
+    damaged = tmp_path / "model.json"
+    payload = json.loads(trained_pipeline["model"].read_text(encoding="utf-8"))
+    payload["config"]["ngram_orders"] = value
+    damaged.write_text(json.dumps(payload), encoding="utf-8")
+    rc = main(["predict", "--model", str(damaged), "--in", str(trained_pipeline["distant"]),
+               "--out", str(tmp_path / "preds.jsonl")])
+    err = capsys.readouterr().err
+    _assert_one_line_error(rc, err, f"error: {damaged}: damaged ")
+    assert f"ngram_orders must be integers >= 1, got {value!r}" in err
+
+
 def _predict_with_cpus(monkeypatch, capsys, cpus, run, infile, out) -> tuple[bytes, int]:
     """The predictions file written with `cpus` available CPUs, and the
     number of processes forked for it."""

@@ -20,6 +20,7 @@ from ynkit.corpus import LABEL_ORDER, Label, tokenize
 from ynkit.distant import QAInstance
 from ynkit.errors import InvalidConfigError, UnlabeledInstanceError
 from ynkit.model import (
+    FIELD_PREFIXES,
     FeatureMemo,
     LinearModel,
     TrainConfig,
@@ -72,6 +73,9 @@ def test_train_config_validation():
     for bad in ("5", -2, 0, True, 3.0):
         with pytest.raises(InvalidConfigError, match="max_tokens_per_field must be an integer >= 1"):
             TrainConfig(max_tokens_per_field=bad)
+    for bad in ((1.5,), (True, 2), (1, 2.0), ("2",), (0,)):
+        with pytest.raises(InvalidConfigError, match="ngram_orders must be integers >= 1"):
+            TrainConfig(ngram_orders=bad)
 
 
 def test_featurize_deterministic_and_field_masked():
@@ -136,7 +140,20 @@ def test_shared_chunk_memo_matches_plain_loop(texts, max_tokens):
     for inst in instances + instances:
         assert list(featurize(inst, config, memo).items()) == list(naive_featurize(inst, config).items())
     assert all(tokens == [t.lower() for t in tokenize(chunk)] for chunk, tokens in memo.chunks.items())
-    assert all(bucket == fnv1a_64(key) % 2**6 for key, bucket in memo.items())
+    assert all(bucket == fnv1a_64(key) % 2**6 for key, bucket in _memo_entries(memo))
+
+
+def _memo_entries(memo):
+    """(key string, bucket) for each n-gram in a featurize memo: the field
+    prefix plus the n-gram's tokens joined by "_"."""
+    entries = []
+    for (field_name, order), table in memo.items():
+        prefix = FIELD_PREFIXES[field_name] + ":"
+        for gram, bucket in table.items():
+            assert (type(gram) is str) == (order == 1)
+            assert order == 1 or len(gram) == order
+            entries.append((prefix + (gram if order == 1 else "_".join(gram)), bucket))
+    return entries
 
 
 def test_featurize_l2_normalized():
@@ -363,7 +380,7 @@ def test_shared_memo_gives_same_features():
     memo: dict = {}
     for inst in instances + instances:
         assert featurize(inst, config, memo) == featurize(inst, config)
-    assert memo and all(bucket == fnv1a_64(key) % 2**12 for key, bucket in memo.items())
+    assert memo and all(bucket == fnv1a_64(key) % 2**12 for key, bucket in _memo_entries(memo))
 
 
 # -- invariants of training on an exported blended plan --
@@ -400,6 +417,14 @@ def test_training_on_loaded_plan_pinned_digest(tmp_path):
     export_plan(_blended_plan(), tmp_path / "plan")
     model = train(load_plan(tmp_path / "plan"), _PLAN_CONFIG)
     assert _weights_digest(model) == "a059ff2304395f9d486c160a39168193a68b15b75900014491829ac2f07f6371"
+
+
+def test_training_with_frequent_decay_folds_pinned_digest(tmp_path):
+    """learning_rate 0.5 with l2 1.0 halves the lazy decay scale on every
+    row, so it folds back into the weights about every 40 rows."""
+    export_plan(_blended_plan(), tmp_path / "plan")
+    model = train(load_plan(tmp_path / "plan"), TrainConfig(learning_rate=0.5, l2=1.0, num_buckets=2**12))
+    assert _weights_digest(model) == "419292bf978596712981139850bc55581dd2ff1e3c57a13cf64d46879fd39a59"
 
 
 def test_loaded_and_in_memory_plans_train_identically(tmp_path):
@@ -448,4 +473,22 @@ def test_predict_hashes_each_distinct_ngram_once(monkeypatch):
     monkeypatch.setattr(model_module, "fnv1a_64", lambda key: calls.append(key) or real(key))
     for inst in instances + instances:
         predict(model, inst)
-    assert calls and len(calls) == len(set(calls)) == len(model.ngram_memo)
+    # one hash per distinct (field, order, n-gram), each of its own key
+    entries = _memo_entries(model.ngram_memo)
+    assert calls and len(calls) == len(set(calls)) == len(entries)
+    assert sorted(calls) == sorted(key for key, _ in entries)
+
+
+def test_unigram_and_bigram_with_one_key_string_hash_once_each(monkeypatch):
+    """The unigram "a_b" and the bigram ("a", "b") share a key string and
+    so a bucket; each is hashed once, in its own table."""
+    config = TrainConfig(fields_used=("answer",), num_buckets=2**12)
+    calls = []
+    real = model_module.fnv1a_64
+    monkeypatch.setattr(model_module, "fnv1a_64", lambda key: calls.append(key) or real(key))
+    memo = FeatureMemo()
+    inst = _inst("Is it?", "a_b a b", Label.YES)
+    for _ in range(3):
+        assert list(featurize(inst, config, memo).items()) == list(naive_featurize(inst, config).items())
+    assert sorted(calls) == ["a:a", "a:a_b", "a:a_b", "a:a_b_a", "a:b"]
+    assert memo["answer", 1]["a_b"] == memo["answer", 2]["a", "b"]
