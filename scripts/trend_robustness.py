@@ -16,7 +16,7 @@ import time
 from ynkit.blend import BlendConfig, build_blended_plan, build_gold_plan, build_merged_plan
 from ynkit.distant import balance_dataset, extract_distant_instances
 from ynkit.evaluation import score
-from ynkit.model import TrainConfig, predict, train
+from ynkit.model import TrainConfig, predict_proba, train
 from ynkit.qid import scan_corpus
 from ynkit.synth import SynthConfig, make_trend_bundle
 
@@ -43,7 +43,8 @@ def run_seed(seed: int):
     scores = {}
     for name, plan in plans.items():
         model = train(plan, train_config)
-        preds = [predict(model, inst)[0] for inst in bundle.test]
+        winners = predict_proba(model, bundle.test).argmax(axis=1).tolist()
+        preds = [model.class_labels[i] for i in winners]
         scores[name] = score(gold_labels, preds).macro_f1
     return scores
 

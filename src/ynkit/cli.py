@@ -23,6 +23,10 @@ log = logging.getLogger("ynkit")
 
 DEFAULT_SEED = 1729  # fixed so bare runs are reproducible; override with --seed
 
+# the predictions and probe lines: json.dumps(..., sort_keys=True), whose
+# encoder is built once rather than per line
+_encode_sorted = json.JSONEncoder(sort_keys=True).encode
+
 
 def _read_config_file(path: str, known_keys: set[str]) -> dict:
     """Parse a flat key = value file (strings, ints, floats, booleans);
@@ -169,15 +173,16 @@ def _prediction_lines(trained, instances) -> str:
     """The predictions file's lines for instances, as one string."""
     from . import model
 
+    probs = model.predict_proba(trained, instances)
+    names = [label.value for label in trained.class_labels]
     lines = []
-    for inst in instances:
-        label, probs = model.predict(trained, inst)
+    for inst, row, winner in zip(instances, probs.tolist(), probs.argmax(axis=1).tolist()):
         record = {
-            "label": label.value,
-            "probs": {k.value: v for k, v in probs.items()},
+            "label": names[winner],
+            "probs": dict(zip(names, row)),
             "origin": distant.origin_to_dict(inst.origin_ids),
         }
-        lines.append(json.dumps(record, sort_keys=True) + "\n")
+        lines.append(_encode_sorted(record) + "\n")
     return "".join(lines)
 
 
@@ -263,16 +268,8 @@ def _cmd_probe(args) -> int:
     )
     with Path(args.out).open("w", encoding="utf-8") as handle:
         for response in result.responses:
-            handle.write(
-                json.dumps(
-                    {
-                        "label": response.label.value if response.label else None,
-                        "raw": response.raw,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            label = response.label.value if response.label else None
+            handle.write(_encode_sorted({"label": label, "raw": response.raw}) + "\n")
     manifest_path = Path(args.out).with_suffix(".manifest.json")
     manifest_path.write_text(
         json.dumps(result.manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -281,32 +278,23 @@ def _cmd_probe(args) -> int:
     return 0
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(
-        prog="ynkit",
-        description="Yes-no question pipelines: identify, distill, plan, train, predict, evaluate, probe.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("identify", help="scan a corpus for yes-no questions")
+def _identify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", required=True)
     p.add_argument("--mode", choices=["relaxed", "strict", "acts"], default="relaxed")
     p.add_argument("--sample", type=int, default=200)
     p.add_argument("--out", required=True)
     p.add_argument("--audit")
-    _add_common(p)
-    p.set_defaults(func=_cmd_identify)
 
-    p = sub.add_parser("distill", help="extract distant instances from strict matches")
+
+def _distill_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", required=True)
     p.add_argument("--matches", required=True)
     p.add_argument("--balance", action="store_true")
     p.add_argument("--context-window", type=int, default=1)
     p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_distill)
 
-    p = sub.add_parser("plan", help="build a training curriculum")
+
+def _plan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gold")
     p.add_argument("--distant")
     p.add_argument("--strategy", choices=["merged", "blended"], default="merged")
@@ -316,10 +304,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--epochs", type=int, default=5, help="epoch count for merged plans")
     p.add_argument("--cap", type=int)
     p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_plan)
 
-    p = sub.add_parser("train", help="train the linear classifier on a plan")
+
+def _train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--plan", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--lr", type=float, default=0.1)
@@ -327,27 +314,24 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--buckets", type=int, default=2**18)
     p.add_argument("--ngrams", default="1,2")
     p.add_argument("--fields", default="context,question,answer")
-    _add_common(p)
-    p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("predict", help="predict labels for instances")
+
+def _predict_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_predict)
 
-    p = sub.add_parser("evaluate", help="score predictions against gold")
+
+def _evaluate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--pred2")
     p.add_argument("--mcnemar", choices=["chi2", "exact"], default="chi2")
     p.add_argument("--unmapped", choices=["exclude", "wrong"], default="exclude")
     p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("probe", help="prompt a completion endpoint")
+
+def _probe_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--shots", type=int, default=0)
     p.add_argument("--shot-examples", help="jsonl of labeled shot instances")
@@ -356,21 +340,56 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--endpoint", help="live endpoint URL")
     p.add_argument("--concurrency", type=int, default=1)
     p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_probe)
 
+
+# name -> (help, the subcommand's own arguments, handler)
+_SUBCOMMANDS = {
+    "identify": ("scan a corpus for yes-no questions", _identify_args, _cmd_identify),
+    "distill": ("extract distant instances from strict matches", _distill_args, _cmd_distill),
+    "plan": ("build a training curriculum", _plan_args, _cmd_plan),
+    "train": ("train the linear classifier on a plan", _train_args, _cmd_train),
+    "predict": ("predict labels for instances", _predict_args, _cmd_predict),
+    "evaluate": ("score predictions against gold", _evaluate_args, _cmd_evaluate),
+    "probe": ("prompt a completion endpoint", _probe_args, _cmd_probe),
+}
+
+
+def build_parser(
+    command: Optional[str] = None,
+) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ynkit parser and its subparsers by name.
+
+    Every subcommand is listed, so usage, help and an unknown command's
+    error are the same either way; given a command, only that subcommand
+    gets its arguments, which is all a command line naming it can reach.
+    """
+    parser = argparse.ArgumentParser(
+        prog="ynkit",
+        description="Yes-no question pipelines: identify, distill, plan, train, predict, evaluate, probe.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, handler) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            add_arguments(p)
+            _add_common(p)
+            p.set_defaults(func=handler)
     return parser, sub.choices
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, registry = build_parser()
 
     # pre-scan for --config so file values become defaults, flags still win
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
-    if known.config:
+    if not known.config:
+        # the top-level parser has no option taking a value, so the first
+        # argument that is not an option names the subcommand
+        parser, _ = build_parser(next((a for a in argv if not a.startswith("-")), None))
+    else:
+        parser, registry = build_parser()  # a key may be any subcommand's
         known_keys = {a.dest for p in registry.values() for a in p._actions}
         try:
             file_values = _read_config_file(known.config, known_keys)

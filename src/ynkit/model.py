@@ -8,14 +8,23 @@ decay, one pass per epoch dataset in plan order; everything is a pure
 function of (plan, config), so retraining reproduces bitwise-identical
 weights.
 
-Within one run each distinct text is featurized once: `train` keeps the
-feature arrays of each distinct instance object and of each distinct tuple
-of field texts for every row that repeats it, and a `train` run, like a
-loaded model across its `predict` calls, tokenizes each distinct
-whitespace chunk and hashes each distinct n-gram once through a
-`FeatureMemo` it owns. The memo holds one table per (field, order), keyed
-by the n-gram's tokens, so a repeated n-gram builds no key string. Each
-SGD row gathers its weight rows once, from a (buckets, classes) array.
+Featurization runs in batches. `featurize_many` looks up each instance's
+n-gram buckets in Python, then counts, normalizes and sorts the whole
+batch with array operations, into CSR rows bitwise equal to `featurize`.
+`train` featurizes each distinct tuple of field texts once, in one batch,
+and every plan row that repeats it uses views into that batch.
+`predict_proba` featurizes its instances as one batch, and adds the bias
+and takes the softmax (its callers, the argmax) over the whole batch, but
+scores each row with its own gathered (classes, k) @ (k,) product: BLAS
+sums that product in an order of its own, and summing the rows any other
+way changes the last bits of the scores, and so the predictions file.
+
+A `train` run, like a loaded model across its `predict_proba` calls,
+tokenizes each distinct whitespace chunk and hashes each distinct n-gram
+once through a `FeatureMemo` it owns. The memo holds one table per (field,
+order), keyed by the n-gram's tokens, so a repeated n-gram builds no key
+string. Each SGD row gathers its weight rows once, from a (buckets,
+classes) array.
 """
 
 from __future__ import annotations
@@ -24,10 +33,11 @@ import base64
 import json
 import math
 import random
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -160,20 +170,9 @@ class FeatureMemo(dict):
         self.chunks: dict[str, list[str]] = {}
 
 
-def featurize(
-    instance: QAInstance,
-    config: TrainConfig = TrainConfig(),
-    memo: Optional[dict] = None,
-) -> dict[int, float]:
-    """Sparse L2-normalized bucket->weight map for one instance.
-
-    memo maps each (field, order) to its n-gram -> bucket table under this
-    config; pass the same dict to every call of a run so each distinct
-    n-gram is hashed once and a repeated one builds no key string. A
-    FeatureMemo also keeps each distinct chunk's tokens for the run.
-    """
-    if memo is None:
-        memo = {}
+def _ngram_buckets(instance: QAInstance, config: TrainConfig, memo: dict) -> list[int]:
+    """The bucket of each n-gram of instance, field by field and order by
+    order, through memo's (field, order) tables (made on first use)."""
     chunks = memo.chunks if isinstance(memo, FeatureMemo) else {}
     orders = sorted(config.ngram_orders)
     mask = config.num_buckets - 1
@@ -188,11 +187,75 @@ def featurize(
                 table = memo[field_name, order] = kind(FIELD_PREFIXES[field_name] + ":", mask)
             grams = tokens if order == 1 else zip(*(tokens[i:] for i in range(order)))
             buckets += map(table.__getitem__, grams)
+    return buckets
+
+
+def featurize(
+    instance: QAInstance,
+    config: TrainConfig = TrainConfig(),
+    memo: Optional[dict] = None,
+) -> dict[int, float]:
+    """Sparse L2-normalized bucket->weight map for one instance.
+
+    memo maps each (field, order) to its n-gram -> bucket table under this
+    config; pass the same dict to every call of a run so each distinct
+    n-gram is hashed once and a repeated one builds no key string. A
+    FeatureMemo also keeps each distinct chunk's tokens for the run.
+    """
     # buckets in first-seen order; the counts are exact integers, so the
     # norm does not depend on how they were accumulated
-    counts = Counter(buckets)
+    counts = Counter(_ngram_buckets(instance, config, {} if memo is None else memo))
     norm = math.sqrt(sum(c * c for c in counts.values()))
     return {bucket: c / norm for bucket, c in counts.items()}
+
+
+def featurize_many(
+    instances: Sequence[QAInstance],
+    config: TrainConfig = TrainConfig(),
+    memo: Optional[dict] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The features of every instance as CSR rows (indptr, indices, values).
+
+    Row i holds buckets indices[indptr[i]:indptr[i + 1]] in increasing
+    order with their L2-normalized counts, bitwise equal to featurize's
+    values; a row with no n-gram is empty. Only the n-gram lookups run per
+    instance: counting, norms and sorting run once over the batch, on
+    (row << log2(buckets)) | bucket keys. memo is as for featurize.
+    """
+    if memo is None:
+        memo = {}
+    flat, lengths = array("q"), array("q")
+    for inst in instances:
+        buckets = _ngram_buckets(inst, config, memo)
+        flat.extend(buckets)
+        lengths.append(len(buckets))
+    n = len(lengths)
+    # row << shift fits in int64 for any batch and weight matrix that fit in memory
+    shift = config.num_buckets.bit_length() - 1
+    keys = np.repeat(np.arange(n, dtype=np.int64) << shift, lengths)
+    keys |= np.frombuffer(flat, dtype=np.int64)
+    del flat
+    # each distinct key once, with the length of its run: np.unique's
+    # return_counts would hold several more key-sized copies at its peak
+    keys.sort()
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    keys = keys[starts]
+    values = np.empty(len(starts), dtype=np.float64)  # the counts, exact below 2**53
+    np.subtract(starts[1:], starts[:-1], out=values[:-1])
+    values[-1:] = len(first) - starts[-1:]
+    del first, starts
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) << shift)
+    row_sizes = np.diff(indptr)
+    # integer sums of squares, so exact whatever the order, as in featurize
+    row_of = np.repeat(np.arange(n), row_sizes)
+    norms = np.sqrt(np.bincount(row_of, weights=values * values, minlength=n))
+    del row_of
+    values /= np.repeat(norms, row_sizes)
+    keys &= config.num_buckets - 1
+    return indptr, keys, values
 
 
 def _as_arrays(features: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
@@ -211,29 +274,38 @@ class LinearModel:
     # chunk and n-gram memo shared by every predict call on this model
     ngram_memo: FeatureMemo = field(default_factory=FeatureMemo, init=False, repr=False, compare=False)
 
-    def scores(self, features: dict[int, float]) -> np.ndarray:
-        indices, values = _as_arrays(features)
-        if len(indices) == 0:
-            return self.bias.copy()
-        return self.weights[:, indices] @ values + self.bias
-
 
 def softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max()
+    """Softmax along the last axis."""
+    shifted = scores - scores.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum()
+    return exp / exp.sum(axis=-1, keepdims=True)
+
+
+def predict_proba(model: LinearModel, instances: Sequence[QAInstance]) -> np.ndarray:
+    """(instances, classes) probabilities, featurized as one batch."""
+    features = featurize_many(instances, model.feature_config, model.ngram_memo)
+    return _csr_proba(model, *features)
+
+
+def _csr_proba(model: LinearModel, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Softmax of each CSR row's scores. Every row keeps its own gathered
+    dot product: BLAS sums a (classes, k) @ (k,) product in an order of its
+    own, and any other way of summing, batched or not, changes the last bits
+    of the scores. A row with no features scores the bias."""
+    weights = model.weights
+    scores = np.zeros((len(indptr) - 1, len(model.bias)), dtype=np.float64)
+    for row, (lo, hi) in enumerate(zip(indptr[:-1].tolist(), indptr[1:].tolist())):
+        scores[row] = weights[:, indices[lo:hi]] @ values[lo:hi]
+    scores += model.bias
+    return softmax(scores)
 
 
 def predict(model: LinearModel, instance: QAInstance) -> tuple[Label, dict[Label, float]]:
     """Argmax label and per-class probabilities; ties break by class order."""
-    features = featurize(instance, model.feature_config, model.ngram_memo)
-    return predict_features(model, features)
-
-
-def predict_features(model: LinearModel, features: dict[int, float]) -> tuple[Label, dict[Label, float]]:
-    probs = softmax(model.scores(features))
+    probs = predict_proba(model, [instance])[0]
     winner = model.class_labels[int(np.argmax(probs))]
-    return winner, {label: float(p) for label, p in zip(model.class_labels, probs)}
+    return winner, dict(zip(model.class_labels, probs.tolist()))
 
 
 def train(plan: TrainingPlan, config: TrainConfig = TrainConfig()) -> LinearModel:
@@ -256,26 +328,32 @@ def train(plan: TrainingPlan, config: TrainConfig = TrainConfig()) -> LinearMode
     lr = config.learning_rate
 
     # each row's (indices, values, label index) by instance identity (the
-    # plan keeps every instance alive, so no id is reused); the feature
-    # arrays by field texts
-    by_object: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
-    pool: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = {}
-    memo = FeatureMemo()
-
+    # plan keeps every instance alive, so no id is reused); rows with equal
+    # field texts share one featurization, and so one view of the batch
+    by_object: dict[int, tuple[int, int]] = {}
+    slot_of_texts: dict[tuple[str, ...], int] = {}
+    distinct: list[QAInstance] = []
     for epoch in plan.epochs:
         for inst in epoch.instances:
-            row = by_object.get(id(inst))
-            if row is None:
+            if id(inst) not in by_object:
                 if inst.label is None:
                     raise UnlabeledInstanceError(
                         f"unlabeled instance with origin {inst.origin_ids}"
                     )
-                key = _field_texts(inst, config.fields_used)
-                arrays = pool.get(key)
-                if arrays is None:
-                    arrays = pool[key] = _as_arrays(featurize(inst, config, memo))
-                row = by_object[id(inst)] = (*arrays, label_index[inst.label])
-            indices, values, target = row
+                slot = slot_of_texts.setdefault(_field_texts(inst, config.fields_used), len(distinct))
+                if slot == len(distinct):
+                    distinct.append(inst)
+                by_object[id(inst)] = (slot, label_index[inst.label])
+    indptr, all_indices, all_values = featurize_many(distinct, config, FeatureMemo())
+    features = [
+        (all_indices[lo:hi], all_values[lo:hi])
+        for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist())
+    ]
+    rows_of = {key: (*features[slot], target) for key, (slot, target) in by_object.items()}
+
+    for epoch in plan.epochs:
+        for inst in epoch.instances:
+            indices, values, target = rows_of[id(inst)]
             if len(indices) == 0:
                 rows = None
                 scores = bias.copy()

@@ -85,6 +85,24 @@ def naive_featurize(instance, config):
     return counts
 
 
+def naive_predict(model, instance):
+    """(label, probabilities) of one instance scored alone: the sorted
+    oracle features, one gathered dot product, bias, softmax and the first
+    argmax."""
+    features = naive_featurize(instance, model.feature_config)
+    buckets = sorted(features)
+    indices = np.array(buckets, dtype=np.int64)
+    values = np.array([features[b] for b in buckets], dtype=np.float64)
+    if len(indices) == 0:
+        scores = model.bias.copy()
+    else:
+        scores = model.weights[:, indices] @ values + model.bias
+    shifted = scores - scores.max()
+    exp = np.exp(shifted)
+    probs = exp / exp.sum()
+    return model.class_labels[int(np.argmax(probs))], probs
+
+
 # -- corpus loading: one dict per line, one check at a time --
 
 

@@ -31,7 +31,7 @@ from ynkit.llm_probe import (
     map_response,
     probe_benchmark,
 )
-from ynkit.model import TrainConfig, gradient_check, predict, train
+from ynkit.model import TrainConfig, gradient_check, predict_proba, train
 from ynkit.qid import scan_corpus
 from ynkit.synth import SynthConfig, make_trend_bundle
 from oracles import naive_kappa, naive_macro_f1, naive_per_label_f1
@@ -226,7 +226,8 @@ def _trend_models():
     macro = {}
     for name, plan in plans.items():
         model = train(plan, TREND_TRAIN)
-        preds = [predict(model, inst)[0] for inst in bundle.test]
+        winners = predict_proba(model, bundle.test).argmax(axis=1).tolist()
+        preds = [model.class_labels[i] for i in winners]
         macro[name] = score(gold_labels, preds).macro_f1
     return macro
 

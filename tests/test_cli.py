@@ -61,17 +61,46 @@ def _run_pipeline(corpus_path: Path, workdir: Path, seed: int = 7) -> dict:
     }
 
 
+_COMMANDS = ("identify", "distill", "plan", "train", "predict", "evaluate", "probe")
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--help"])
     assert excinfo.value.code == 0
-    assert "identify" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert all(f"\n    {name}  " in out for name in _COMMANDS)
 
 
 def test_unknown_subcommand_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, usage, message",
+    [
+        ([], "ynkit", "the following arguments are required: command"),
+        (["frobnicate", "--out", "x"], "ynkit", "argument command: invalid choice: 'frobnicate'"),
+        (["--seed", "3", "train"], "ynkit", "argument command: invalid choice: '3'"),
+        (["train", "--out", "m.json"], "ynkit train", "the following arguments are required: --plan"),
+        (["predict", "--model", "m", "--in", "i", "--out", "o", "--plan", "p"], "ynkit",
+         "unrecognized arguments: --plan p"),
+    ],
+)
+def test_usage_errors_exit_2_with_usage(argv, usage, message, capsys):
+    """The parser gets only the named subcommand's arguments; usage errors
+    read as when every subcommand's are there."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    if usage == "ynkit":
+        assert err.startswith("usage: ynkit [-h] {" + ",".join(_COMMANDS) + "} ...\n")
+    else:
+        assert err.startswith(f"usage: {usage} [-h] ")
+    assert f": error: {message}" in err
 
 
 def test_missing_input_is_domain_error(tmp_path, capsys):
@@ -536,9 +565,7 @@ def _readme_walkthrough() -> list[list[str]]:
 
 def test_readme_walkthrough_runs_as_written(tmp_path, monkeypatch):
     commands = _readme_walkthrough()
-    assert [argv[0] for argv in commands] == [
-        "identify", "distill", "plan", "train", "predict", "evaluate", "probe"
-    ]
+    assert tuple(argv[0] for argv in commands) == _COMMANDS
     (tmp_path / "src").symlink_to(ROOT / "src")  # the README runs from the repo root
     monkeypatch.chdir(tmp_path)
     for argv in commands:

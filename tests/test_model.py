@@ -24,20 +24,23 @@ from ynkit.model import (
     FeatureMemo,
     LinearModel,
     TrainConfig,
+    _as_arrays,
+    _csr_proba,
     _probe_gradients,
     featurize,
+    featurize_many,
     fnv1a_64,
     gradient_check,
     load_model,
     max_relative_error,
     predict,
-    predict_features,
+    predict_proba,
     save_model,
     train,
 )
 from ynkit.synth import SynthConfig, make_gold_instances, make_test_instances
 
-from oracles import naive_featurize
+from oracles import naive_featurize, naive_predict
 
 
 def _inst(question, answer, label, i=0, context=()):
@@ -141,6 +144,72 @@ def test_shared_chunk_memo_matches_plain_loop(texts, max_tokens):
         assert list(featurize(inst, config, memo).items()) == list(naive_featurize(inst, config).items())
     assert all(tokens == [t.lower() for t in tokenize(chunk)] for chunk, tokens in memo.chunks.items())
     assert all(bucket == fnv1a_64(key) % 2**6 for key, bucket in _memo_entries(memo))
+
+
+_MAYBE_EMPTY = st.one_of(st.sampled_from([" ", " \t "]), _TEXTS)  # blank: no tokens
+_INSTANCE_TEXTS = st.lists(
+    st.tuples(st.lists(_MAYBE_EMPTY, max_size=2), _MAYBE_EMPTY, _MAYBE_EMPTY), min_size=1, max_size=5
+)
+_ORDERS = st.sampled_from([(1,), (1, 2), (1, 2, 3)])
+_FIELDS = st.lists(st.sampled_from(list(FIELD_PREFIXES)), min_size=1, max_size=3, unique=True).map(tuple)
+
+
+def _batch(texts):
+    """Instances of the drawn texts, between two with no tokens at all."""
+    empty = _inst(" ", "\n", Label.NO, context=("", " "))
+    return [empty] + [_inst(q, a, Label.YES, context=context) for context, q, a in texts] + [empty]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    texts=_INSTANCE_TEXTS,
+    orders=_ORDERS,
+    fields=_FIELDS,
+    max_tokens=st.integers(1, 9),
+    buckets=st.sampled_from([2**4, 2**6, 2**18]),
+)
+def test_featurize_many_rows_equal_featurize_and_oracle(texts, orders, fields, max_tokens, buckets):
+    """Each CSR row is bitwise the sorted featurize map and the oracle's,
+    rows with no n-gram included."""
+    config = TrainConfig(
+        num_buckets=buckets, ngram_orders=orders, fields_used=fields, max_tokens_per_field=max_tokens
+    )
+    instances = _batch(texts)
+    indptr, indices, values = featurize_many(instances, config, FeatureMemo())
+    assert indptr[0] == 0 and indptr[-1] == len(indices) == len(values)
+    assert indptr[1] == 0  # the first instance has no text
+    for i, inst in enumerate(instances):
+        lo, hi = indptr[i], indptr[i + 1]
+        for expected in (_as_arrays(featurize(inst, config)), _as_arrays(naive_featurize(inst, config))):
+            assert indices[lo:hi].tobytes() == expected[0].tobytes()
+            assert values[lo:hi].tobytes() == expected[1].tobytes()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    texts=_INSTANCE_TEXTS,
+    orders=_ORDERS,
+    fields=_FIELDS,
+    weight_scale=st.sampled_from([0.0, 1.0, 40.0]),  # ties, typical, saturated
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_predict_proba_rows_equal_naive_predict(texts, orders, fields, weight_scale, seed):
+    config = TrainConfig(num_buckets=2**6, ngram_orders=orders, fields_used=fields)
+    rng = np.random.default_rng(seed)
+    model = LinearModel(
+        LABEL_ORDER,
+        weight_scale * rng.normal(size=(3, config.num_buckets)),
+        weight_scale * rng.normal(size=3),
+        config,
+    )
+    instances = _batch(texts)
+    probs = predict_proba(model, instances)
+    assert probs.shape == (len(instances), len(LABEL_ORDER))
+    for inst, row in zip(instances, probs):
+        label, expected = naive_predict(model, inst)
+        assert row.tobytes() == expected.tobytes()
+        assert model.class_labels[int(np.argmax(row))] is label
+        assert predict(model, inst) == (label, dict(zip(LABEL_ORDER, expected.tolist())))
 
 
 def _memo_entries(memo):
@@ -279,14 +348,11 @@ def test_bucket_permutation_invariance():
         bias=model.bias,
         feature_config=config,
     )
-    for inst in instances:
-        original = featurize(inst, config)
-        renamed = {int(perm[k]): v for k, v in original.items()}
-        label_a, probs_a = predict_features(model, original)
-        label_b, probs_b = predict_features(permuted, renamed)
-        assert label_a is label_b
-        for key in probs_a:  # summation order differs, so allow float slack
-            assert abs(probs_a[key] - probs_b[key]) < 1e-12
+    indptr, indices, values = featurize_many(instances, config)
+    original = _csr_proba(model, indptr, indices, values)
+    renamed = _csr_proba(permuted, indptr, perm[indices], values)
+    # the renamed rows gather the same weights in the same order
+    assert renamed.tobytes() == original.tobytes()
 
 
 def test_l2_keeps_weights_bounded():
@@ -451,13 +517,13 @@ def test_train_featurizes_each_distinct_text_once(tmp_path, monkeypatch):
     export_plan(_blended_plan(), tmp_path / "plan")
     plan = load_plan(tmp_path / "plan")
     calls = []
-    real = model_module.featurize
+    real = model_module.featurize_many
 
-    def counting(inst, config, memo=None):
-        calls.append((inst.question, inst.answer))
-        return real(inst, config, memo)
+    def counting(instances, config, memo=None):
+        calls.extend((inst.question, inst.answer) for inst in instances)
+        return real(instances, config, memo)
 
-    monkeypatch.setattr(model_module, "featurize", counting)
+    monkeypatch.setattr(model_module, "featurize_many", counting)
     train(plan, _PLAN_CONFIG)
     rows = [inst for epoch in plan.epochs for inst in epoch.instances]
     keys = {(inst.question, inst.answer) for inst in rows}
