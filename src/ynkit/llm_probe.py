@@ -7,15 +7,23 @@ several distinct label tokens counts as unmapped.
 
 Clients implement send(prompt, params) -> str. The replay client serves
 recorded completions keyed by a digest of (prompt, params), so parameter
-changes invalidate recordings and test runs never touch the network.
+changes invalidate recordings and test runs never touch the network. The
+live client posts JSON over the standard library's urllib with one
+connection per request, retries only failures that may pass (connection
+errors, timeouts, HTTP 429 and 5xx) and fails at once on the rest;
+LiveClient says why it does not reuse connections.
 """
 
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import os
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -112,6 +120,15 @@ def map_response(raw: str) -> MappedResponse:
     return MappedResponse(raw=raw, label=None)
 
 
+def _is_http_url(url: str) -> bool:
+    parts = urllib.parse.urlsplit(url)
+    try:
+        parts.port  # raises on a port that is not a number in range
+    except ValueError:
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname)
+
+
 class CompletionClient(Protocol):
     def send(self, prompt: str, params: GenerationParams) -> str: ...
 
@@ -168,12 +185,24 @@ class RecordingClient:
 
 
 class LiveClient:
-    """HTTP POST client for a completion endpoint.
+    """HTTP POST client for a completion endpoint, over ``urllib.request``.
 
     Endpoint and credential come from arguments or the YNKIT_LLM_ENDPOINT /
-    YNKIT_LLM_API_KEY environment variables. Accepts {"completion": ...},
-    OpenAI-style {"choices": [{"text": ...}]} and chat-style
+    YNKIT_LLM_API_KEY environment variables; the endpoint must be an absolute
+    http:// or https:// URL with a host. Proxies come from HTTP(S)_PROXY and
+    NO_PROXY. Accepts {"completion": ...}, OpenAI-style
+    {"choices": [{"text": ...}]} and chat-style
     {"choices": [{"message": {"content": ...}}]} response bodies.
+
+    Each request opens its own connection. Reusing one stalls about 40 ms
+    per request against a server that writes headers and body in separate
+    sends without TCP_NODELAY (delayed ACK meets Nagle), as the benchmark's
+    stub does.
+
+    A failure that may pass is retried with exponential backoff: a refused,
+    reset or dropped connection, a timeout, HTTP 429 and HTTP 5xx. Any other
+    4xx, a body that is not JSON and a body with no completion raise
+    TransportError at once.
     """
 
     def __init__(
@@ -183,38 +212,68 @@ class LiveClient:
         max_retries: int = 3,
         backoff_seconds: float = 1.0,
         sleeper: Callable[[float], None] = time.sleep,
+        timeout: float = 60.0,
     ):
         self.endpoint = endpoint or os.environ.get("YNKIT_LLM_ENDPOINT")
         if not self.endpoint:
             raise TransportError(
                 "no completion endpoint configured (set YNKIT_LLM_ENDPOINT)"
             )
+        if not _is_http_url(self.endpoint):
+            raise TransportError(
+                "completion endpoint must be an absolute http:// or https:// URL "
+                f"with a host, got {self.endpoint!r}"
+            )
         self.api_key = api_key or os.environ.get("YNKIT_LLM_API_KEY")
         self.max_retries = max_retries
         self.backoff_seconds = backoff_seconds
         self.sleeper = sleeper
+        self.timeout = timeout
+        self._headers = {"Content-Type": "application/json"}
+        if self.api_key:
+            self._headers["Authorization"] = f"Bearer {self.api_key}"
 
     def send(self, prompt: str, params: GenerationParams) -> str:
-        import requests
-
-        body = {"prompt": prompt, **params.to_dict()}
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        body = json.dumps({"prompt": prompt, **params.to_dict()}).encode("utf-8")
         last_error: Optional[Exception] = None
         for attempt in range(self.max_retries + 1):
             if attempt:
                 self.sleeper(self.backoff_seconds * 2 ** (attempt - 1))
+            request = urllib.request.Request(
+                self.endpoint, data=body, headers=self._headers, method="POST"
+            )
             try:
-                response = requests.post(
-                    self.endpoint, json=body, headers=headers, timeout=60
-                )
-                response.raise_for_status()
-                return self._extract(response.json())
-            except (requests.RequestException, ValueError, KeyError) as exc:
+                with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                    status, raw = response.status, response.read()
+            except urllib.error.HTTPError as exc:
+                exc.close()
+                if exc.code != 429 and exc.code < 500:
+                    raise TransportError(
+                        f"completion request to {self.endpoint}: HTTP {exc.code} {exc.reason}"
+                    ) from None
                 last_error = exc
+                continue
+            except (OSError, http.client.HTTPException) as exc:  # URLError is an OSError
+                last_error = exc
+                continue
+            try:
+                payload = json.loads(raw)
+            except ValueError:
+                raise TransportError(
+                    f"completion request to {self.endpoint}: HTTP {status} body is not JSON"
+                ) from None
+            try:
+                completion = self._extract(payload)
+            except (KeyError, IndexError, TypeError):
+                completion = None
+            if not isinstance(completion, str):
+                raise TransportError(
+                    f"completion request to {self.endpoint}: HTTP {status} body has no completion"
+                )
+            return completion
         raise TransportError(
-            f"completion request failed after {self.max_retries + 1} attempts: {last_error}"
+            f"completion request to {self.endpoint} failed after "
+            f"{self.max_retries + 1} attempts: {last_error}"
         )
 
     @staticmethod

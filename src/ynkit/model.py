@@ -524,7 +524,10 @@ def load_model(path: Union[str, Path]) -> LinearModel:
         len(columns) and not 0 <= columns[0] <= columns[-1] < config.num_buckets
     ):
         raise InvalidConfigError(f"{path}: damaged {_FORMAT} file: inconsistent shapes")
-    weights = np.zeros((len(labels), config.num_buckets), dtype=np.float64)
+    try:
+        weights = np.zeros((len(labels), config.num_buckets), dtype=np.float64)
+    except (ValueError, MemoryError) as exc:  # num_buckets too large to allocate
+        raise InvalidConfigError(f"{path}: damaged {_FORMAT} file: {exc!r}") from None
     weights[:, columns] = values
     return LinearModel(
         class_labels=labels,

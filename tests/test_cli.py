@@ -409,6 +409,17 @@ def test_predict_rejects_non_integer_ngram_orders(trained_pipeline, tmp_path, ca
     assert f"ngram_orders must be integers >= 1, got {value!r}" in err
 
 
+def test_predict_rejects_unallocatable_num_buckets(trained_pipeline, tmp_path, capsys):
+    damaged = tmp_path / "model.json"
+    payload = json.loads(trained_pipeline["model"].read_text(encoding="utf-8"))
+    payload["config"]["num_buckets"] = 2**62  # numpy refuses the array before allocating
+    damaged.write_text(json.dumps(payload), encoding="utf-8")
+    rc = main(["predict", "--model", str(damaged), "--in", str(trained_pipeline["distant"]),
+               "--out", str(tmp_path / "preds.jsonl")])
+    _assert_one_line_error(rc, capsys.readouterr().err,
+                           f"error: {damaged}: damaged ynkit-linear-model file: ")
+
+
 def _predict_with_cpus(monkeypatch, capsys, cpus, run, infile, out) -> tuple[bytes, int]:
     """The predictions file written with `cpus` available CPUs, and the
     number of processes forked for it."""

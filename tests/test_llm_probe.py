@@ -1,7 +1,17 @@
 import json
+import os
+import socket
+import subprocess
+import sys
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
+import ynkit
+from ynkit.cli import main
 from ynkit.corpus import Label
 from ynkit.distant import QAInstance
 from ynkit.errors import InsufficientShotsError, MissingRecordingError, TransportError
@@ -156,8 +166,6 @@ class SlowStub:
     """Returns a per-prompt completion; order must survive concurrency."""
 
     def send(self, prompt, params):
-        import time
-
         if "spicy" in prompt:
             time.sleep(0.05)
             return "Yes"
@@ -182,61 +190,207 @@ def test_probe_preserves_input_order_with_concurrency():
     assert [r.label for r in result.responses] == [Label.YES, Label.NO, Label.NO]
 
 
-# -- live client over a fake transport --
+# -- live client against a scripted localhost endpoint --
+
+BODY_KEYS = {"prompt", "temperature", "top_p", "max_tokens"}
 
 
-class FakeResponse:
-    def __init__(self, payload, status=200):
-        self.payload = payload
-        self.status_code = status
-
-    def raise_for_status(self):
-        import requests
-
-        if self.status_code >= 400:
-            raise requests.HTTPError(f"status {self.status_code}")
-
-    def json(self):
-        return self.payload
+def _default_completion(prompt: str) -> str:
+    return ("Yes", "No", "Middle")[len(prompt) % 3]
 
 
-def test_live_client_payload_shapes(monkeypatch):
-    import requests
+class _ScriptedHandler(BaseHTTPRequestHandler):
+    """Plays the server's next scripted step; once the script runs out it
+    replies with `_default_completion` of the prompt."""
 
-    shapes = [
-        {"completion": "Yes"},
-        {"choices": [{"text": "No"}]},
-        {"choices": [{"message": {"content": "Middle"}}]},
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        server = self.server
+        with server.lock:
+            server.requests.append((self.headers, body))
+            step = server.script.pop(0) if server.script else None
+        if step is None:
+            prompt = json.loads(body)["prompt"]
+            self._reply(200, json.dumps({"completion": _default_completion(prompt)}).encode())
+        elif step == "drop":  # close before any status line
+            self.close_connection = True
+        elif step == "truncate":  # promise more body than is sent
+            self._reply(200, b'{"completion": "Y', length=64)
+            self.close_connection = True
+        elif step == "stall":  # outwait the client's timeout, then close
+            server.release.wait(timeout=10)
+            self.close_connection = True
+        else:
+            status, payload = step
+            self._reply(status, payload if isinstance(payload, bytes) else json.dumps(payload).encode())
+
+    def _reply(self, status, body, length=None):
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body) if length is None else length))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, format, *args):
+        pass
+
+
+class _ScriptedServer(ThreadingHTTPServer):
+    daemon_threads = True
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _ScriptedHandler)
+        self.lock = threading.Lock()
+        self.script = []  # one step per request: (status, payload) or "drop"/"truncate"/"stall"
+        self.requests = []  # (headers, body) of every request received
+        self.release = threading.Event()
+        self.url = f"http://127.0.0.1:{self.server_address[1]}/v1/completions"
+
+
+@pytest.fixture
+def endpoint(monkeypatch):
+    """A scripted completion endpoint on 127.0.0.1; on teardown it checks
+    that every request carried the JSON body keys and both headers."""
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    server = _ScriptedServer()
+    thread = threading.Thread(target=server.serve_forever, args=(0.02,), daemon=True)
+    thread.start()
+    yield server
+    server.release.set()
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    for headers, body in server.requests:
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Authorization"] == "Bearer k"
+        assert set(json.loads(body)) == BODY_KEYS
+
+
+def _client(url, sleeps, **kwargs):
+    return LiveClient(endpoint=url, api_key="k", sleeper=sleeps.append, **kwargs)
+
+
+def test_live_client_payload_shapes(endpoint):
+    endpoint.script = [
+        (200, {"completion": "Yes"}),
+        (200, {"choices": [{"text": "No"}]}),
+        (200, {"choices": [{"message": {"content": "Middle"}}]}),
     ]
-    outcomes = []
-    for payload in shapes:
-        monkeypatch.setattr(requests, "post", lambda *a, payload=payload, **k: FakeResponse(payload))
-        client = LiveClient(endpoint="http://example.invalid/complete", api_key="k")
-        outcomes.append(client.send("prompt", GenerationParams()))
-    assert outcomes == ["Yes", "No", "Middle"]
-
-
-def test_live_client_retries_then_fails(monkeypatch):
-    import requests
-
-    calls = []
-
-    def failing_post(*args, **kwargs):
-        calls.append(1)
-        raise requests.ConnectionError("refused")
-
     sleeps = []
-    monkeypatch.setattr(requests, "post", failing_post)
-    client = LiveClient(
-        endpoint="http://example.invalid/complete",
-        max_retries=2,
-        backoff_seconds=1.0,
-        sleeper=sleeps.append,
-    )
+    client = _client(endpoint.url, sleeps)
+    outcomes = [client.send("prompt", GenerationParams()) for _ in range(3)]
+    assert outcomes == ["Yes", "No", "Middle"]
+    assert len(endpoint.requests) == 3 and sleeps == []
+    sent = json.loads(endpoint.requests[0][1])
+    assert sent == {"prompt": "prompt", **GenerationParams().to_dict()}
+
+
+def test_live_client_retries_then_fails(endpoint):
+    endpoint.script = [(503, b"busy")] * 3
+    sleeps = []
+    client = _client(endpoint.url, sleeps, max_retries=2, backoff_seconds=1.0)
+    with pytest.raises(TransportError, match="3 attempts: HTTP Error 503"):
+        client.send("prompt", GenerationParams())
+    assert len(endpoint.requests) == 3
+    assert sleeps == [1.0, 2.0]  # bounded exponential backoff
+
+
+def test_live_client_retries_refused_connection():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]  # closed again below: nothing listens there
+    sleeps = []
+    client = _client(f"http://127.0.0.1:{port}/", sleeps, max_retries=2)
     with pytest.raises(TransportError, match="3 attempts"):
         client.send("prompt", GenerationParams())
-    assert len(calls) == 3
-    assert sleeps == [1.0, 2.0]  # bounded exponential backoff
+    assert sleeps == [1.0, 2.0]
+
+
+@pytest.mark.parametrize(
+    "step",
+    [(429, b"slow down"), (500, b"oops"), "drop", "truncate", "stall"],
+    ids=["429", "500", "dropped", "incomplete_read", "timeout"],
+)
+def test_live_client_retries_what_can_recover(endpoint, step):
+    endpoint.script = [step]
+    sleeps = []
+    client = _client(endpoint.url, sleeps, timeout=0.3)
+    assert client.send("prompt", GenerationParams()) == _default_completion("prompt")
+    assert len(endpoint.requests) == 2
+    assert sleeps == [1.0]
+
+
+@pytest.mark.parametrize(
+    "step, needle",
+    [
+        ((400, b"bad request"), "HTTP 400 Bad Request"),
+        ((200, b"<html>not json</html>"), "HTTP 200 body is not JSON"),
+        ((200, {}), "HTTP 200 body has no completion"),
+        ((200, {"choices": []}), "HTTP 200 body has no completion"),
+        ((200, {"completion": 7}), "HTTP 200 body has no completion"),
+    ],
+    ids=["400", "not_json", "empty_object", "no_choices", "not_text"],
+)
+def test_live_client_fails_fast_on_what_cannot_recover(endpoint, step, needle):
+    endpoint.script = [step]
+    sleeps = []
+    client = _client(endpoint.url, sleeps)
+    with pytest.raises(TransportError, match=needle) as excinfo:
+        client.send("prompt", GenerationParams())
+    assert endpoint.url in str(excinfo.value)
+    assert len(endpoint.requests) == 1
+    assert sleeps == []
+
+
+@pytest.mark.parametrize(
+    "url", ["localhost:9", "127.0.0.1:9/v1", "/v1/completions", "ftp://host/x", "http://", "http://host:port/"]
+)
+def test_live_client_rejects_endpoint_that_is_not_an_http_url(url):
+    with pytest.raises(TransportError, match="absolute http:// or https:// URL"):
+        LiveClient(endpoint=url)
+
+
+def test_probe_cli_rejects_bad_endpoint_without_retrying(data_dir, tmp_path, capsys):
+    rc = main(["probe", "--in", str(data_dir / "probe_demo.jsonl"), "--client", "live",
+               "--endpoint", "localhost:9", "--out", str(tmp_path / "p.jsonl")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: completion endpoint must be an absolute http:// or https:// URL "
+        "with a host, got 'localhost:9'"
+    ]
+
+
+def test_probe_cli_live_same_output_at_any_concurrency(endpoint, data_dir, tmp_path, monkeypatch):
+    monkeypatch.setenv("YNKIT_LLM_API_KEY", "k")
+    outputs = []
+    for concurrency in ("1", "2"):
+        out = tmp_path / f"probe_{concurrency}.jsonl"
+        rc = main(["probe", "--in", str(data_dir / "probe_demo.jsonl"), "--client", "live",
+                   "--endpoint", endpoint.url, "--concurrency", concurrency, "--out", str(out)])
+        assert rc == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 3
+    assert len(endpoint.requests) == 6
+
+
+def test_live_send_does_not_import_requests(endpoint):
+    script = (
+        "import sys\n"
+        "from ynkit.llm_probe import GenerationParams, LiveClient\n"
+        f"print(LiveClient(endpoint={endpoint.url!r}, api_key='k').send('prompt', GenerationParams()))\n"
+        "print('requests' in sys.modules)\n"
+    )
+    src = str(Path(ynkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [_default_completion("prompt"), "False"]
 
 
 def test_live_client_requires_endpoint(monkeypatch):

@@ -428,8 +428,9 @@ def test_model_file_stores_only_set_columns(tmp_path):
         lambda data: data.replace(b'"columns_b64": "', b'"columns_b64": "AAAAAAAAAAAA'),
         lambda data: data.replace(b'"bias_b64"', b'"bias"'),
         lambda data: b"\xff\xfe" + data,
+        lambda data: data.replace(b'"num_buckets": 1024', b'"num_buckets": 4611686018427387904'),
     ],
-    ids=["truncated", "bad_base64", "columns_mismatch", "missing_key", "not_utf8"],
+    ids=["truncated", "bad_base64", "columns_mismatch", "missing_key", "not_utf8", "huge_num_buckets"],
 )
 def test_load_model_damaged_file_names_path(tmp_path, damage):
     model = train(build_gold_plan(_toy_separable(3), 1, 0), TrainConfig(num_buckets=2**10))
