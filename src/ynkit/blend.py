@@ -1,10 +1,11 @@
 """Training curricula: gold-only, merged, and blended plans.
 
 A blended plan runs m blending epochs in which the gold fraction decays
-per epoch (geometric by default, f_i = alpha^(i-1)) while every epoch
-carries all distant instances, followed by n epochs of distant instances
-only. The gold subset is redrawn fresh each blending epoch; the distant
-cap, when set, subsamples the distant pool once before planning.
+geometrically, f_i = alpha^(i-1) in epoch i, the paper's only schedule,
+while every epoch carries all distant instances, followed by n epochs of
+distant instances only. The gold subset is redrawn fresh each blending
+epoch; the distant cap, when set, subsamples the distant pool once before
+planning.
 """
 
 from __future__ import annotations
@@ -19,9 +20,6 @@ from typing import Optional, Sequence, Union
 from .distant import QAInstance, read_instances, write_instances
 from .errors import EmptyPlanError, InvalidConfigError
 
-STRATEGIES = ("gold_only", "merged", "blended")
-SCHEDULES = ("geometric", "linear")
-
 
 @dataclass(frozen=True)
 class BlendConfig:
@@ -30,7 +28,6 @@ class BlendConfig:
     n: int  # pure distant epochs
     seed: int
     distant_cap: Optional[int] = None
-    schedule: str = "geometric"
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
@@ -41,8 +38,6 @@ class BlendConfig:
             raise InvalidConfigError(f"n must be >= 0, got {self.n}")
         if self.distant_cap is not None and self.distant_cap <= 0:
             raise InvalidConfigError(f"distant_cap must be > 0, got {self.distant_cap}")
-        if self.schedule not in SCHEDULES:
-            raise InvalidConfigError(f"schedule must be one of {SCHEDULES}")
 
 
 @dataclass(frozen=True)
@@ -71,11 +66,9 @@ def round_half_away_from_zero(x: float) -> int:
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
 
 
-def gold_fraction(alpha: float, epoch_index: int, schedule: str = "geometric") -> float:
+def gold_fraction(alpha: float, epoch_index: int) -> float:
     """Fraction of gold instances for 1-based blending epoch epoch_index."""
-    if schedule == "geometric":
-        return alpha ** (epoch_index - 1)
-    return max(0.0, 1.0 - (1.0 - alpha) * (epoch_index - 1))
+    return alpha ** (epoch_index - 1)
 
 
 def _rng(seed: int, *scope: object) -> random.Random:
@@ -146,7 +139,7 @@ def build_blended_plan(
     capped = _apply_cap(distant, config.distant_cap, config.seed)
     plan_epochs = []
     for i in range(1, config.m + 1):
-        fraction = gold_fraction(config.alpha, i, config.schedule)
+        fraction = gold_fraction(config.alpha, i)
         count = min(len(gold), round_half_away_from_zero(fraction * len(gold)))
         subset = _rng(config.seed, "gold", i).sample(list(gold), count)
         plan_epochs.append(_epoch(subset, list(capped), config.seed, i))
@@ -160,7 +153,7 @@ def build_blended_plan(
         "epochs": config.m + config.n,
         "seed": config.seed,
         "cap": config.distant_cap,
-        "schedule": config.schedule,
+        "schedule": "geometric",
     }
     return TrainingPlan(epochs=tuple(plan_epochs), strategy="blended", provenance=provenance)
 
@@ -196,9 +189,11 @@ def load_plan(directory: Union[str, Path]) -> TrainingPlan:
     plan.json's epoch_sizes name the epoch files that must be there,
     epoch_000.jsonl onwards, and the row count of each; a missing, extra or
     mis-sized epoch file is an error. Gold/distant counts per epoch come
-    from plan.json; instance identity within each epoch file is preserved
-    in order. Each distinct line is decoded once per call, and every row
-    that repeats it, in any epoch, is the same object.
+    from plan.json's gold_counts, each an integer from 0 to its epoch's
+    size, or are counted by source when plan.json lists none. Instance
+    identity within each epoch file is preserved in order. Each distinct
+    line is decoded once per call, and every row that repeats it, in any
+    epoch, is the same object.
     """
     directory = Path(directory)
     plan_path = directory / "plan.json"
@@ -226,14 +221,19 @@ def load_plan(directory: Union[str, Path]) -> TrainingPlan:
         raise InvalidConfigError(f"{stray[0]}: not listed in plan.json")
     epochs = []
     decoded: dict[bytes, QAInstance] = {}
-    for path, size, gold_count in zip(expected, sizes, gold_counts):
+    for i, (path, size, gold_count) in enumerate(zip(expected, sizes, gold_counts)):
         instances = tuple(read_instances(path, decoded))
         if len(instances) != size:
             raise InvalidConfigError(
                 f"{path}: {len(instances)} rows, plan.json lists {size}"
             )
-        if gold_count is None:
+        if "gold_counts" not in manifest:
             gold_count = sum(1 for inst in instances if inst.source == "gold")
+        elif type(gold_count) is not int or not 0 <= gold_count <= size:  # bool is not int
+            raise InvalidConfigError(
+                f"{plan_path}: gold_counts[{i}] must be an integer in [0, {size}], "
+                f"got {gold_count!r}"
+            )
         epochs.append(
             EpochDataset(
                 gold_count=gold_count,

@@ -106,8 +106,7 @@ def _cmd_identify(args) -> int:
 def _cmd_distill(args) -> int:
     corpus = load_corpus(args.corpus)
     matches = qid.load_matches(args.matches, corpus)
-    config = distant.DistantConfig(context_window=args.context_window)
-    instances = distant.extract_distant_instances(corpus, matches, config)
+    instances = distant.extract_distant_instances(corpus, matches, args.context_window)
     if args.balance:
         instances = distant.balance_dataset(instances, seed=args.seed)
     distant.write_instances(instances, args.out)
@@ -215,13 +214,18 @@ def _read_pred_labels(path: str) -> list[Optional[Label]]:
     return labels
 
 
+def _first_unlabeled(path: str) -> str:
+    """The "{path}: line N" of the first instance in path with no label;
+    read_instances keeps no line numbers, so this reads path again."""
+    return next(where for where, obj in iter_jsonl(path) if obj.get("label") is None)
+
+
 def _cmd_evaluate(args) -> int:
     from . import evaluation
 
-    gold_instances = distant.read_instances(args.gold)
-    gold = [inst.label for inst in gold_instances]
+    gold = [inst.label for inst in distant.read_instances(args.gold)]
     if any(label is None for label in gold):
-        raise YnkitError(f"{args.gold}: every gold instance needs a label")
+        raise YnkitError(f"{_first_unlabeled(args.gold)}: every gold instance needs a label")
     preds = _read_pred_labels(args.pred)
     gold_kept, pred_kept, excluded = evaluation.align_for_scoring(
         gold, preds, policy=args.unmapped
@@ -252,14 +256,14 @@ def _cmd_probe(args) -> int:
     if args.shots:
         if not args.shot_examples:
             raise YnkitError("--shots requires --shot-examples with labeled instances")
-        shot_instances = distant.read_instances(args.shot_examples)
-        examples = []
-        for inst in shot_instances:
-            if inst.label is None:
-                raise YnkitError("shot examples must be labeled")
-            examples.append((inst.question, inst.answer, inst.label))
-        template = llm_probe.PromptTemplate(shot_examples=tuple(examples))
+        shots = distant.read_instances(args.shot_examples)
+        if any(inst.label is None for inst in shots):
+            raise YnkitError(f"{_first_unlabeled(args.shot_examples)}: shot examples must be labeled")
+        examples = tuple((inst.question, inst.answer, inst.label) for inst in shots)
+        template = llm_probe.PromptTemplate(shot_examples=examples)
     if args.client == "replay":
+        if not args.store:
+            raise YnkitError("--client replay requires --store with a replay store file")
         client = llm_probe.ReplayClient(args.store)
     else:
         client = llm_probe.LiveClient(endpoint=args.endpoint)

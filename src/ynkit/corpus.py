@@ -18,10 +18,10 @@ import json
 import re
 import unicodedata
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .errors import CorpusFormatError, UnmappedLabelError
 
@@ -361,63 +361,43 @@ def save_corpus(corpus: Corpus, path: Union[str, Path]) -> None:
 _MAP_TARGETS = {"yes": Label.YES, "no": Label.NO, "middle": Label.MIDDLE, "discard": None}
 
 
-@dataclass(frozen=True)
-class FineLabelMap:
-    """Maps source-corpus interpretation labels onto the 3-label scheme.
-
-    A None target means the source label is discarded rather than mapped.
-    """
-
-    entries: dict[str, Optional[Label]] = field(default_factory=dict)
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "FineLabelMap":
-        entries: dict[str, Optional[Label]] = {}
-        for source, target in pairs:
+def read_label_map(path: Union[str, Path]) -> dict[str, Optional[Label]]:
+    """Read a two-column TSV, source_label TAB yes|no|middle|discard, into
+    a dict from source label to Label, or to None for discard."""
+    mapping: dict[str, Optional[Label]] = {}
+    with Path(path).open("r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.rstrip("\n")
+            if not line.strip() or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise CorpusFormatError(
+                    f"{path}: line {lineno}: expected 2 tab-separated columns"
+                )
+            source, target = parts
             key = target.strip().lower()
             if key not in _MAP_TARGETS:
                 raise UnmappedLabelError(
-                    f"label map target must be yes/no/middle/discard, got {target!r}"
+                    f"{path}: line {lineno}: label map target must be "
+                    f"yes/no/middle/discard, got {target!r}"
                 )
-            entries[source] = _MAP_TARGETS[key]
-        return cls(entries=entries)
-
-    @classmethod
-    def from_tsv(cls, path: Union[str, Path]) -> "FineLabelMap":
-        """Read a two-column TSV: source_label TAB yes|no|middle|discard."""
-        pairs = []
-        with Path(path).open("r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.rstrip("\n")
-                if not line.strip() or line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise CorpusFormatError(
-                        f"{path}: line {lineno}: expected 2 tab-separated columns"
-                    )
-                pairs.append((parts[0], parts[1]))
-        return cls.from_pairs(pairs)
-
-    def to_tsv(self, path: Union[str, Path]) -> None:
-        with Path(path).open("w", encoding="utf-8") as handle:
-            for source, target in self.entries.items():
-                value = target.value if target is not None else "discard"
-                handle.write(f"{source}\t{value}\n")
+            mapping[source] = _MAP_TARGETS[key]
+    return mapping
 
 
-def normalize_label(source_label: str, label_map: FineLabelMap) -> Optional[Label]:
+def normalize_label(source_label: str, label_map: dict[str, Optional[Label]]) -> Optional[Label]:
     """Map a fine-grained source label to Label, or None for Discard."""
-    if source_label not in label_map.entries:
+    if source_label not in label_map:
         raise UnmappedLabelError(f"no mapping for source label {source_label!r}")
-    return label_map.entries[source_label]
+    return label_map[source_label]
 
 
-def bundled_label_map(name: str) -> FineLabelMap:
+def bundled_label_map(name: str) -> dict[str, Optional[Label]]:
     """Load one of the label maps shipped with the package ("circa", "swda_ia")."""
     data_dir = Path(__file__).parent / "data"
     path = data_dir / f"{name}_label_map.tsv"
     if not path.exists():
         available = sorted(p.stem.replace("_label_map", "") for p in data_dir.glob("*_label_map.tsv"))
         raise UnmappedLabelError(f"no bundled label map {name!r}; available: {available}")
-    return FineLabelMap.from_tsv(path)
+    return read_label_map(path)

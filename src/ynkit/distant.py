@@ -25,11 +25,6 @@ from .qid import NO_KEYWORDS, YES_KEYWORDS, QidMatch, answer_window_tokens
 
 
 @dataclass(frozen=True)
-class DistantConfig:
-    context_window: int = 1  # preceding turns included as context
-
-
-@dataclass(frozen=True)
 class QAInstance:
     """A (context, question, answer, label) record for training or evaluation.
 
@@ -68,7 +63,7 @@ def label_direct_answer(answer_text: str, chunks: Optional[dict] = None) -> Opti
 def extract_distant_instances(
     corpus: Corpus,
     matches: Iterable[QidMatch],
-    config: DistantConfig = DistantConfig(),
+    context_window: int = 1,
 ) -> list[QAInstance]:
     """One distant QAInstance per match whose answer labels Yes or No.
 
@@ -87,7 +82,7 @@ def extract_distant_instances(
         if label is None:
             continue
         dialogue = by_dialogue[match.question.dialogue_id]
-        start = max(0, match.question.ordinal - config.context_window)
+        start = max(0, match.question.ordinal - context_window)
         context = tuple(t.text for t in dialogue.turns[start : match.question.ordinal])
         instances.append(
             QAInstance(

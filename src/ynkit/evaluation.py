@@ -142,19 +142,12 @@ def confusion_matrix(gold: Sequence[Label], predicted: Sequence[Label]) -> Confu
     )
 
 
-def score(
-    gold: Sequence[Label],
-    predicted: Sequence[Label],
-    absent_label_policy: str = "zero",
-) -> EvalReport:
+def score(gold: Sequence[Label], predicted: Sequence[Label]) -> EvalReport:
     """Per-label precision/recall/F1 plus macro, weighted, and accuracy.
 
-    Zero denominators score 0. A label absent from both gold and
-    predictions scores F1 1.0 only under absent_label_policy="one";
-    the default keeps it at 0 and still averages over all three labels.
+    Zero denominators score 0, so a label absent from both gold and
+    predictions scores F1 0 and still counts in the three-label average.
     """
-    if absent_label_policy not in ("zero", "one"):
-        raise ValueError("absent_label_policy must be 'zero' or 'one'")
     n = _check_aligned(gold, predicted)
     cm = confusion_matrix(gold, predicted)
     per_label: dict[Label, tuple[float, float, float]] = {}
@@ -167,8 +160,6 @@ def score(
         precision = tp / pred_count if pred_count else 0.0
         recall = tp / gold_count if gold_count else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        if absent_label_policy == "one" and gold_count == 0 and pred_count == 0:
-            precision = recall = f1 = 1.0
         per_label[label] = (precision, recall, f1)
         f1s.append(f1)
         weighted += gold_count * f1
@@ -268,7 +259,7 @@ def compare_runs(
     method: str = "continuity_corrected_chi2",
 ) -> dict:
     """EvalReport per system plus pairwise McNemar tests, as a JSON-ready
-    dict; render_comparison() turns it into an aligned text table."""
+    dict."""
     reports = {name: score(gold, p) for name, p in preds.items()}
     pairwise = []
     for name_a, name_b in combinations(sorted(preds), 2):
@@ -278,27 +269,6 @@ def compare_runs(
         "systems": {name: report.to_dict() for name, report in reports.items()},
         "pairwise_mcnemar": pairwise,
     }
-
-
-def render_comparison(comparison: dict) -> str:
-    header = f"{'system':<24} {'macro_f1':>9} {'weighted':>9} {'accuracy':>9} {'n':>7}"
-    lines = [header, "-" * len(header)]
-    for name in sorted(comparison["systems"]):
-        r = comparison["systems"][name]
-        lines.append(
-            f"{name:<24} {r['macro_f1']:>9.4f} {r['weighted_f1']:>9.4f} "
-            f"{r['accuracy']:>9.4f} {r['n']:>7d}"
-        )
-    if comparison["pairwise_mcnemar"]:
-        lines.append("")
-        lines.append(f"{'pair':<34} {'b':>5} {'c':>5} {'stat':>9} {'p':>9}")
-        for row in comparison["pairwise_mcnemar"]:
-            pair = f"{row['system_a']} vs {row['system_b']}"
-            lines.append(
-                f"{pair:<34} {row['b']:>5d} {row['c']:>5d} "
-                f"{row['statistic']:>9.4f} {row['p_value']:>9.4f}"
-            )
-    return "\n".join(lines)
 
 
 def write_report(report_dict: dict, path: Union[str, Path]) -> None:

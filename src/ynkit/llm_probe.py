@@ -31,7 +31,12 @@ from typing import Callable, Optional, Protocol, Sequence, Union
 
 from .corpus import Label, tokenize
 from .distant import QAInstance
-from .errors import InsufficientShotsError, MissingRecordingError, TransportError
+from .errors import (
+    InsufficientShotsError,
+    InvalidConfigError,
+    MissingRecordingError,
+    TransportError,
+)
 
 PROMPT_PREAMBLE = (
     "Below is an instruction and a yes-no question-answer pair input. "
@@ -63,18 +68,17 @@ class GenerationParams:
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    preamble: str = PROMPT_PREAMBLE
-    instruction_text: str = PROMPT_INSTRUCTION
-    closing_question: str = PROMPT_CLOSING_QUESTION
+    """The worked examples a prompt may draw on: (question, answer, label)."""
+
     shot_examples: tuple[tuple[str, str, Label], ...] = ()
 
 
-def _input_block(question: str, answer: str, closing_question: str) -> str:
+def _input_block(question: str, answer: str) -> str:
     return (
         "### Input:\n\n"
         f'Question: "{question}"\n\n'
         f'Answer: "{answer}"\n\n'
-        f"{closing_question}\n\n"
+        f"{PROMPT_CLOSING_QUESTION}\n\n"
         "### Response:"
     )
 
@@ -86,14 +90,10 @@ def build_prompt(instance: QAInstance, template: PromptTemplate = PromptTemplate
         raise InsufficientShotsError(
             f"requested {shots} shots but template has {len(template.shot_examples)} examples"
         )
-    parts = [
-        template.preamble,
-        f"### Instruction: {template.instruction_text}",
-    ]
+    parts = [PROMPT_PREAMBLE, f"### Instruction: {PROMPT_INSTRUCTION}"]
     for question, answer, label in template.shot_examples[:shots]:
-        block = _input_block(question, answer, template.closing_question)
-        parts.append(f"{block} {label.value.capitalize()}")
-    parts.append(_input_block(instance.question, instance.answer, template.closing_question))
+        parts.append(f"{_input_block(question, answer)} {label.value.capitalize()}")
+    parts.append(_input_block(instance.question, instance.answer))
     return "\n\n".join(parts)
 
 
@@ -143,12 +143,23 @@ def recording_key(prompt: str, params: GenerationParams) -> str:
 
 
 class ReplayClient:
-    """Serves completions from a recorded store; never touches the network."""
+    """Serves completions from a recorded store; never touches the network.
+
+    A store file is one JSON object from prompt digest to completion string.
+    """
 
     def __init__(self, store: Union[dict, str, Path]):
         if isinstance(store, (str, Path)):
             self.path = Path(store)
-            self.store: dict[str, str] = json.loads(self.path.read_text(encoding="utf-8"))
+            try:
+                store = json.loads(self.path.read_text(encoding="utf-8"))
+            except ValueError as exc:  # undecodable bytes or JSON
+                raise InvalidConfigError(f"{self.path}: not a replay store ({exc})") from None
+            if type(store) is not dict or any(type(v) is not str for v in store.values()):
+                raise InvalidConfigError(
+                    f"{self.path}: not a replay store (expected a JSON object of strings)"
+                )
+            self.store: dict[str, str] = store
         else:
             self.path = None
             self.store = dict(store)

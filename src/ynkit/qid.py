@@ -3,11 +3,13 @@
 Three modes:
   relaxed      question-side lexical rules only
   strict       relaxed rules plus a direct-answer check on the next turn
-  dialogue_act gold dialogue-act tags (SWDA / MRDA style label sets)
+  dialogue_act gold dialogue-act tags, the SWDA and MRDA sets together
 
-Matching is whole-token on lowercased text; contractions such as "don't"
-are single tokens, so the auxiliary list enumerates negated forms
-explicitly and "no" never fires inside "nobody".
+The rule grammar is fixed by module constants: AUXILIARY_VERBS, WH_WORDS,
+MIN_TOKENS_EXCLUSIVE and YES_NO_ACTS. Matching is whole-token on
+lowercased text; contractions such as "don't" are single tokens, so the
+auxiliary list enumerates negated forms explicitly and "no" never fires
+inside "nobody".
 """
 
 from __future__ import annotations
@@ -15,14 +17,14 @@ from __future__ import annotations
 import csv
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
 from .corpus import Corpus, Turn, _require, iter_jsonl, lowered_tokens, split_sentences
 from .errors import CorpusFormatError, NotAnnotatedError
 
-DEFAULT_AUXILIARY_VERBS = frozenset(
+AUXILIARY_VERBS = frozenset(
     {
         "do", "does", "did", "don't", "doesn't", "didn't",
         "is", "isn't", "are", "aren't", "was", "wasn't", "were", "weren't",
@@ -33,9 +35,12 @@ DEFAULT_AUXILIARY_VERBS = frozenset(
     }
 )
 
-DEFAULT_WH_WORDS = frozenset(
+WH_WORDS = frozenset(
     {"what", "when", "where", "which", "who", "whom", "whose", "why", "how"}
 )
+
+# a relaxed match has more than this many tokens
+MIN_TOKENS_EXCLUSIVE = 3
 
 # Polar keywords of a direct answer, matched as whole lowercased tokens in
 # its first ANSWER_SENTENCE_WINDOW sentences. The strict rule and distant
@@ -56,31 +61,9 @@ SWDA_YES_NO_ACTS = frozenset(
 )
 
 MRDA_YES_NO_ACTS = frozenset({"qy", "g"})
+YES_NO_ACTS = SWDA_YES_NO_ACTS | MRDA_YES_NO_ACTS
 
 MODES = ("relaxed", "strict", "dialogue_act")
-
-
-@dataclass(frozen=True)
-class QidRuleConfig:
-    """Lexical rule grammar for yes-no question identification."""
-
-    auxiliary_verbs: frozenset[str] = DEFAULT_AUXILIARY_VERBS
-    wh_words: frozenset[str] = DEFAULT_WH_WORDS
-    min_token_count_exclusive: int = 3
-
-    def __post_init__(self):
-        overlap = self.auxiliary_verbs & self.wh_words
-        if overlap:
-            raise ValueError(f"auxiliary_verbs and wh_words overlap: {sorted(overlap)}")
-
-
-@dataclass(frozen=True)
-class DialogueActConfig:
-    """Dialogue-act labels that mark a turn as a yes-no question."""
-
-    yes_no_act_labels: frozenset[str] = field(
-        default_factory=lambda: frozenset(SWDA_YES_NO_ACTS | MRDA_YES_NO_ACTS)
-    )
 
 
 @dataclass(frozen=True)
@@ -99,22 +82,20 @@ class QidStats:
     sample_seed: int
 
 
-def is_yes_no_question_relaxed(
-    turn: Turn, config: QidRuleConfig = QidRuleConfig(), chunks: Optional[dict] = None
-) -> bool:
+def is_yes_no_question_relaxed(turn: Turn, chunks: Optional[dict] = None) -> bool:
     """Question-side rules: auxiliary present, no wh-word, more than
-    min_token_count_exclusive tokens, and text ends in '?'.
+    MIN_TOKENS_EXCLUSIVE tokens, and text ends in '?'.
 
     chunks is a `corpus.lowered_tokens` memo; share one across a scan."""
     stripped = turn.text.rstrip()
     if not stripped.endswith("?"):
         return False
     tokens = lowered_tokens(turn.text, chunks)
-    if len(tokens) <= config.min_token_count_exclusive:
+    if len(tokens) <= MIN_TOKENS_EXCLUSIVE:
         return False
-    if not config.wh_words.isdisjoint(tokens):
+    if not WH_WORDS.isdisjoint(tokens):
         return False
-    return not config.auxiliary_verbs.isdisjoint(tokens)
+    return not AUXILIARY_VERBS.isdisjoint(tokens)
 
 
 def answer_window_tokens(text: str, chunks: Optional[dict] = None) -> list[str]:
@@ -132,21 +113,18 @@ def has_direct_answer(next_turn: Turn, chunks: Optional[dict] = None) -> bool:
     return not (YES_KEYWORDS.isdisjoint(tokens) and NO_KEYWORDS.isdisjoint(tokens))
 
 
-def identify_by_dialogue_acts(turn: Turn, config: DialogueActConfig = DialogueActConfig()) -> bool:
-    """Exact-string match of the turn's gold dialogue act against the
-    configured yes-no labels."""
+def identify_by_dialogue_acts(turn: Turn) -> bool:
+    """Exact-string match of the turn's gold dialogue act against YES_NO_ACTS."""
     if turn.dialogue_act is None:
         raise NotAnnotatedError(
             f"turn {turn.turn_id!r} carries no dialogue-act annotation"
         )
-    return turn.dialogue_act in config.yes_no_act_labels
+    return turn.dialogue_act in YES_NO_ACTS
 
 
 def scan_corpus(
     corpus: Corpus,
     mode: str,
-    rule_config: QidRuleConfig = QidRuleConfig(),
-    act_config: DialogueActConfig = DialogueActConfig(),
     sample_size: int = 200,
     seed: int = 0,
 ) -> tuple[list[QidMatch], QidStats]:
@@ -173,10 +151,10 @@ def scan_corpus(
             if mode == "dialogue_act":
                 if turn.dialogue_act is None:
                     continue
-                if not identify_by_dialogue_acts(turn, act_config):
+                if not identify_by_dialogue_acts(turn):
                     continue
             else:
-                if not is_yes_no_question_relaxed(turn, rule_config, chunks):
+                if not is_yes_no_question_relaxed(turn, chunks):
                     continue
             direct = next_turn is not None and has_direct_answer(next_turn, chunks)
             if mode == "strict" and not direct:

@@ -14,7 +14,16 @@ from ynkit.corpus import LABEL_ORDER, Corpus, Dialogue, Turn, split_sentences, t
 from ynkit.distant import instance_to_dict
 from ynkit.errors import CorpusFormatError
 from ynkit.model import FIELD_PREFIXES, fnv1a_64
-from ynkit.qid import ANSWER_SENTENCE_WINDOW, NO_KEYWORDS, YES_KEYWORDS, QidMatch
+from ynkit.qid import (
+    ANSWER_SENTENCE_WINDOW,
+    AUXILIARY_VERBS,
+    MIN_TOKENS_EXCLUSIVE,
+    NO_KEYWORDS,
+    WH_WORDS,
+    YES_KEYWORDS,
+    YES_NO_ACTS,
+    QidMatch,
+)
 
 
 def naive_per_label_f1(gold, predicted):
@@ -242,7 +251,7 @@ def naive_load_corpus(path):
 # -- question identification: every turn tokenized afresh --
 
 
-def naive_scan_corpus(corpus, mode, rule_config, act_config):
+def naive_scan_corpus(corpus, mode):
     """The matches of qid.scan_corpus, by plain loops without a memo."""
 
     def window_tokens(text):
@@ -253,15 +262,15 @@ def naive_scan_corpus(corpus, mode, rule_config, act_config):
         for i, turn in enumerate(dialogue.turns):
             answer = dialogue.turns[i + 1] if i + 1 < len(dialogue.turns) else None
             if mode == "dialogue_act":
-                if turn.dialogue_act not in act_config.yes_no_act_labels:
+                if turn.dialogue_act not in YES_NO_ACTS:
                     continue
             else:
                 tokens = [t.lower() for t in tokenize(turn.text)]
                 if not (
                     turn.text.rstrip().endswith("?")
-                    and len(tokens) > rule_config.min_token_count_exclusive
-                    and not any(t in rule_config.wh_words for t in tokens)
-                    and any(t in rule_config.auxiliary_verbs for t in tokens)
+                    and len(tokens) > MIN_TOKENS_EXCLUSIVE
+                    and not any(t in WH_WORDS for t in tokens)
+                    and any(t in AUXILIARY_VERBS for t in tokens)
                 ):
                     continue
             direct = answer is not None and any(

@@ -1,23 +1,30 @@
 """The benchmark's hooks into ynkit still resolve.
 
 bench/tracing.py wraps each function in its TRACED table by module and
-attribute name, and bench/measure.py times `model.featurize(inst, config)`
-without a memo. A rename or signature change in ynkit would otherwise show
-only when a traced benchmark run fails.
+attribute name, bench/measure.py times `model.featurize(inst, config)`
+without a memo, and bench/workloads.py builds prompts and scores reports
+itself. A rename or signature change in ynkit would otherwise show only
+when a benchmark run fails.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
-from ynkit import cli, model, read_instances  # noqa: F401  (the names bench/measure.py imports)
+import pytest
+
+from ynkit import model
 from ynkit.blend import build_gold_plan
-from ynkit.synth import SynthConfig, make_gold_instances
+from ynkit.evaluation import score
+from ynkit.llm_probe import PromptTemplate, build_prompt
+from ynkit.synth import SynthConfig, make_gold_instances, make_test_instances
 
 from oracles import naive_featurize
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def _tracing():
@@ -45,6 +52,45 @@ def test_every_traced_function_resolves_and_is_wrapped():
     with tracing.install(tracing.Tracer()):
         assert [key for key, f in originals.items() if _resolve(*key) is f] == []
     assert all(_resolve(*key) is f for key, f in originals.items())
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((ROOT / "bench").rglob("*.py")) + sorted((ROOT / "scripts").glob("*.py")),
+    ids=lambda path: str(path.relative_to(ROOT)),
+)
+def test_every_ynkit_name_the_benchmark_imports_resolves(path):
+    missing = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "ynkit":
+                    importlib.import_module(alias.name)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ynkit":
+            owner = importlib.import_module(node.module)
+            for alias in node.names:
+                if not hasattr(owner, alias.name):
+                    try:  # a submodule, as in `from ynkit import cli`
+                        importlib.import_module(f"{node.module}.{alias.name}")
+                    except ModuleNotFoundError:
+                        missing.append(f"{node.module}.{alias.name}")
+    assert missing == []
+
+
+def test_prompt_and_score_as_the_benchmark_calls_them():
+    """bench/workloads.py: PromptTemplate(shot_examples=...), then
+    build_prompt(inst, template, shots) and score(gold, predicted)."""
+    shots = make_gold_instances(SynthConfig(seed=3, n_gold=4))
+    template = PromptTemplate(shot_examples=tuple((s.question, s.answer, s.label) for s in shots))
+    test = make_test_instances(SynthConfig(seed=3, n_test=6))
+    for inst in test:
+        prompt = build_prompt(inst, template, len(shots))
+        assert prompt.count("### Input:") == len(shots) + 1
+        assert prompt.endswith(f'Answer: "{inst.answer}"\n\n'
+                               "Does the answer mean Yes, No or Middle?\n\n### Response:")
+    gold = [inst.label for inst in test]
+    report = score(gold, gold)
+    assert report.n == len(gold) and report.accuracy == 1.0
 
 
 def test_featurize_as_the_benchmark_times_it(tmp_path):

@@ -11,7 +11,6 @@ from ynkit.blend import (
     build_gold_plan,
     build_merged_plan,
     export_plan,
-    gold_fraction,
     load_plan,
     round_half_away_from_zero,
 )
@@ -137,16 +136,6 @@ def test_blended_gold_counts_non_increasing(alpha, m, n):
     assert all(a >= b for a, b in zip(counts, counts[1:]))
     assert all(c == 0 for c in counts[m:])
     assert len(counts) == m + n
-
-
-def test_linear_schedule():
-    assert gold_fraction(0.5, 1, "linear") == 1.0
-    assert gold_fraction(0.5, 2, "linear") == 0.5
-    assert gold_fraction(0.5, 3, "linear") == 0.0
-    plan = build_blended_plan(
-        GOLD, DISTANT, BlendConfig(alpha=0.5, m=3, n=0, seed=0, schedule="linear")
-    )
-    assert [e.gold_count for e in plan.epochs] == [100, 50, 0]
 
 
 def test_merged_epoch_not_smaller_than_blended_later_epochs():
@@ -285,7 +274,16 @@ def test_load_plan_epoch_row_count_checked(tmp_path):
 
 @pytest.mark.parametrize(
     "manifest",
-    ["{not json", "[]", '{"epoch_sizes": 3}', '{"epoch_sizes": [10, 10, 10], "gold_counts": [6]}'],
+    [
+        "{not json",
+        "[]",
+        '{"epoch_sizes": 3}',
+        '{"epoch_sizes": [10, 10, 10], "gold_counts": [6]}',
+        '{"epoch_sizes": [10, 10, 10], "gold_counts": ["x", 3, 0]}',
+        '{"epoch_sizes": [10, 10, 10], "gold_counts": [-5, 6, 6]}',
+        '{"epoch_sizes": [10, 10, 10], "gold_counts": [6, 11, 6]}',
+        '{"epoch_sizes": [10, 10, 10], "gold_counts": [true, 6, 6]}',
+    ],
 )
 def test_load_plan_bad_manifest(tmp_path, manifest):
     (_exported(tmp_path) / "plan.json").write_text(manifest)

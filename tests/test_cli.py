@@ -269,6 +269,51 @@ def test_probe_replay_miss_is_domain_error(data_dir, tmp_path, capsys):
     assert "no recording" in capsys.readouterr().err
 
 
+def test_probe_replay_requires_a_store(data_dir, tmp_path, capsys):
+    rc = main(["probe", "--in", str(data_dir / "probe_demo.jsonl"), "--client", "replay",
+               "--out", str(tmp_path / "p.jsonl")])
+    _assert_one_line_error(rc, capsys.readouterr().err, "error: --client replay requires --store")
+
+
+@pytest.mark.parametrize("store", ["{not json", "[]", '{"digest": 3}'])
+def test_probe_replay_store_must_be_an_object_of_strings(data_dir, tmp_path, capsys, store):
+    path = tmp_path / "store.json"
+    path.write_text(store)
+    rc = main(
+        ["probe", "--in", str(data_dir / "probe_demo.jsonl"), "--client", "replay",
+         "--store", str(path), "--out", str(tmp_path / "p.jsonl")]
+    )
+    _assert_one_line_error(rc, capsys.readouterr().err, f"error: {path}: not a replay store")
+
+
+def test_probe_names_the_line_of_an_unlabeled_shot(data_dir, tmp_path, capsys):
+    shots = tmp_path / "shots.jsonl"
+    shots.write_text(
+        '{"question": "Was it sold out?", "answer": "Every seat.", "label": "yes"}\n\n'
+        '{"question": "Did the rain stop?", "answer": "We are soaked."}\n'
+    )
+    rc = main(
+        ["probe", "--in", str(data_dir / "probe_demo.jsonl"), "--shots", "1",
+         "--shot-examples", str(shots), "--client", "replay",
+         "--store", str(data_dir / "replay_store.json"), "--out", str(tmp_path / "p.jsonl")]
+    )
+    _assert_one_line_error(
+        rc, capsys.readouterr().err, f"error: {shots}: line 3: shot examples must be labeled"
+    )
+
+
+def test_evaluate_names_the_line_of_an_unlabeled_gold_instance(trained_pipeline, tmp_path, capsys):
+    first, second, *rest = trained_pipeline["distant"].read_text().splitlines(keepends=True)
+    unlabeled = {**json.loads(second), "label": None, "source": "gold"}
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text(first + "\n" + json.dumps(unlabeled) + "\n" + "".join(rest))
+    rc = main(["evaluate", "--gold", str(gold), "--pred", str(trained_pipeline["preds"]),
+               "--out", str(tmp_path / "report.json")])
+    _assert_one_line_error(
+        rc, capsys.readouterr().err, f"error: {gold}: line 3: every gold instance needs a label"
+    )
+
+
 def test_plan_blended_subcommand(fixture_corpus_path, tmp_path):
     outputs = _run_pipeline(fixture_corpus_path, tmp_path)
     plandir = tmp_path / "blended"

@@ -5,7 +5,6 @@ import pytest
 
 from ynkit.corpus import Label
 from ynkit.distant import (
-    DistantConfig,
     QAInstance,
     balance_dataset,
     extract_distant_instances,
@@ -71,9 +70,7 @@ def test_extract_from_fixture(fixture_corpus):
 
 def test_extract_context_window(fixture_corpus):
     strict, _ = scan_corpus(fixture_corpus, "strict", sample_size=0, seed=0)
-    wide = extract_distant_instances(
-        fixture_corpus, strict, DistantConfig(context_window=3)
-    )
+    wide = extract_distant_instances(fixture_corpus, strict, context_window=3)
     d04 = next(i for i in wide if i.origin_ids[1] == "d04-t3")
     assert len(d04.context) == 3  # three turns precede d04-t3
     first_question = next(i for i in wide if i.origin_ids[1] == "d06-t0")

@@ -11,7 +11,6 @@ from ynkit.evaluation import (
     compare_runs,
     confusion_matrix,
     mcnemar,
-    render_comparison,
     score,
 )
 from oracles import naive_kappa, naive_macro_f1, naive_per_label_f1
@@ -47,9 +46,6 @@ def test_absent_label_policy_default_zero():
     report = score(gold, pred)
     assert report.per_label[M] == (0.0, 0.0, 0.0)  # absent label scores 0
     assert abs(report.macro_f1 - 2 / 3) < 1e-12  # still averaged over 3 labels
-    lenient = score(gold, pred, absent_label_policy="one")
-    assert lenient.per_label[M] == (1.0, 1.0, 1.0)
-    assert abs(lenient.macro_f1 - 1.0) < 1e-12
 
 
 def test_score_alignment_error():
@@ -257,8 +253,6 @@ def test_compare_runs_three_systems():
     comparison = compare_runs(gold, preds)
     assert len(comparison["systems"]) == 3
     assert len(comparison["pairwise_mcnemar"]) == 3
-    table = render_comparison(comparison)
-    assert "macro_f1" in table and "a vs b" in table
 
 
 def test_compare_runs_includes_constant_baseline():

@@ -2,12 +2,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ynkit.corpus as corpus_module
+import ynkit.qid as qid
 from ynkit.corpus import Corpus, Dialogue, Turn, tokenize
 from ynkit.errors import CorpusFormatError, NotAnnotatedError
 from ynkit.qid import (
-    DialogueActConfig,
-    QidRuleConfig,
-    SWDA_YES_NO_ACTS,
+    AUXILIARY_VERBS,
+    WH_WORDS,
     has_direct_answer,
     identify_by_dialogue_acts,
     is_yes_no_question_relaxed,
@@ -70,13 +70,17 @@ def test_direct_answer_whole_token_only():
 
 
 def test_dialogue_act_examples():
-    swda = DialogueActConfig(yes_no_act_labels=frozenset(SWDA_YES_NO_ACTS))
-    assert identify_by_dialogue_acts(_turn("x?", act="qy"), swda)
-    assert identify_by_dialogue_acts(_turn("x?", act="qy^d"), swda)
-    assert identify_by_dialogue_acts(_turn("x?", act="^g"), swda)
-    assert not identify_by_dialogue_acts(_turn("x?", act="sd"), swda)
+    assert identify_by_dialogue_acts(_turn("x?", act="qy"))
+    assert identify_by_dialogue_acts(_turn("x?", act="qy^d"))
+    assert identify_by_dialogue_acts(_turn("x?", act="^g"))
+    assert not identify_by_dialogue_acts(_turn("x?", act="sd"))
     with pytest.raises(NotAnnotatedError):
-        identify_by_dialogue_acts(_turn("x?"), swda)
+        identify_by_dialogue_acts(_turn("x?"))
+
+
+def test_auxiliary_verbs_and_wh_words_are_disjoint():
+    # a word in both would make every question carrying it fail the rules
+    assert AUXILIARY_VERBS.isdisjoint(WH_WORDS)
 
 
 def test_fixture_scan_matches_hand_marks(fixture_corpus):
@@ -143,15 +147,17 @@ def test_strict_subset_of_relaxed_on_random_corpora():
         assert strict_ids <= relaxed_ids
 
 
-def test_rule_monotonicity_on_random_corpora():
-    base = QidRuleConfig()
-    fewer_wh = QidRuleConfig(wh_words=frozenset(base.wh_words - {"how"}))
-    fewer_aux = QidRuleConfig(auxiliary_verbs=frozenset(base.auxiliary_verbs - {"do"}))
+def test_rule_monotonicity_on_random_corpora(monkeypatch):
+    def count(corpus, wh_words=WH_WORDS, auxiliary_verbs=AUXILIARY_VERBS):
+        monkeypatch.setattr(qid, "WH_WORDS", wh_words)
+        monkeypatch.setattr(qid, "AUXILIARY_VERBS", auxiliary_verbs)
+        return len(scan_corpus(corpus, "relaxed", sample_size=0, seed=0)[0])
+
     for seed in range(60):
         corpus = random_corpus(seed)
-        count = lambda cfg: len(scan_corpus(corpus, "relaxed", cfg, sample_size=0, seed=0)[0])
-        assert count(fewer_wh) >= count(base)
-        assert count(fewer_aux) <= count(base)
+        base = count(corpus)
+        assert count(corpus, wh_words=WH_WORDS - {"how"}) >= base
+        assert count(corpus, auxiliary_verbs=AUXILIARY_VERBS - {"do"}) <= base
 
 
 # chunks that repeat across turns with different punctuation and case,
@@ -182,15 +188,14 @@ def _scan_corpora(draw) -> Corpus:
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(corpus=_scan_corpora())
 def test_scan_matches_memo_free_oracle(corpus):
-    rules, acts = QidRuleConfig(), DialogueActConfig()
     for mode in ("relaxed", "strict", "dialogue_act"):
         try:
-            matches, _ = scan_corpus(corpus, mode, rules, acts, sample_size=0)
+            matches, _ = scan_corpus(corpus, mode, sample_size=0)
         except NotAnnotatedError:
             assert mode == "dialogue_act"
             assert all(t.dialogue_act is None for d in corpus for t in d.turns)
             continue
-        assert matches == naive_scan_corpus(corpus, mode, rules, acts)
+        assert matches == naive_scan_corpus(corpus, mode)
 
 
 def test_scan_tokenizes_each_distinct_chunk_once(fixture_corpus, monkeypatch):

@@ -3,9 +3,9 @@ from collections import Counter
 from ynkit.corpus import Label
 from ynkit.distant import balance_dataset, extract_distant_instances, label_direct_answer
 from ynkit.qid import (
-    DEFAULT_AUXILIARY_VERBS,
-    DEFAULT_WH_WORDS,
+    AUXILIARY_VERBS,
     NO_KEYWORDS,
+    WH_WORDS,
     YES_KEYWORDS,
     has_direct_answer,
     is_yes_no_question_relaxed,
@@ -39,8 +39,8 @@ def test_vocabulary_avoids_rule_words():
         + MIDDLE_CUES + FLIP_SOURCE_YES + FLIP_SOURCE_NO
     )
     reserved = (
-        set(DEFAULT_AUXILIARY_VERBS)
-        | set(DEFAULT_WH_WORDS)
+        set(AUXILIARY_VERBS)
+        | set(WH_WORDS)
         | set(YES_KEYWORDS)
         | set(NO_KEYWORDS)
     )
