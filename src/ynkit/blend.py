@@ -36,8 +36,6 @@ class BlendConfig:
             raise InvalidConfigError(f"m must be >= 1, got {self.m}")
         if self.n < 0:
             raise InvalidConfigError(f"n must be >= 0, got {self.n}")
-        if self.distant_cap is not None and self.distant_cap <= 0:
-            raise InvalidConfigError(f"distant_cap must be > 0, got {self.distant_cap}")
 
 
 @dataclass(frozen=True)
@@ -77,6 +75,9 @@ def _rng(seed: int, *scope: object) -> random.Random:
 
 
 def _apply_cap(distant: Sequence[QAInstance], cap: Optional[int], seed: int) -> list[QAInstance]:
+    """The distant pool, subsampled to cap instances when it holds more."""
+    if cap is not None and cap <= 0:
+        raise InvalidConfigError(f"distant_cap must be > 0, got {cap}")
     if cap is None or cap >= len(distant):
         return list(distant)
     return _rng(seed, "cap").sample(list(distant), cap)

@@ -121,22 +121,30 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-def lowered_tokens(text: str, chunks: Optional[dict[str, list[str]]] = None) -> list[str]:
-    """The lowercased tokens of text, each whitespace chunk's looked up in
-    chunks (chunk -> lowercased tokens) and tokenized only when missing.
+class _ChunkTokens(dict):
+    """Whitespace chunk -> its lowercased tokens, tokenized on the chunk's
+    first lookup only. The lists it holds must not be mutated."""
 
-    Valid because tokenize handles each whitespace chunk on its own. Pass
-    one dict to every call of a run so each distinct chunk is tokenized
-    once; the lists it holds must not be mutated.
-    """
-    if chunks is None:
-        chunks = {}
+    __slots__ = ()
+
+    def __missing__(self, chunk: str) -> list[str]:
+        tokens = self[chunk] = [t.lower() for t in tokenize(chunk)]
+        return tokens
+
+
+# one table for the process: a chunk's tokens depend on the chunk alone,
+# since tokenize handles each whitespace chunk on its own, so threads that
+# miss on one chunk at once only store equal lists twice
+_CHUNK_TOKENS = _ChunkTokens()
+
+
+def lowered_tokens(text: str) -> list[str]:
+    """The lowercased tokens of text, each distinct whitespace chunk
+    tokenized once per process."""
     tokens: list[str] = []
+    chunk_tokens = _CHUNK_TOKENS
     for chunk in text.split():
-        lowered = chunks.get(chunk)
-        if lowered is None:
-            lowered = chunks[chunk] = [t.lower() for t in tokenize(chunk)]
-        tokens += lowered
+        tokens += chunk_tokens[chunk]
     return tokens
 
 

@@ -17,6 +17,7 @@ from typing import Iterable, Optional, Union
 from .corpus import Corpus, Label, iter_jsonl, parse_label
 from .errors import (
     CorpusFormatError,
+    InvalidConfigError,
     MalformedMatchError,
     UnlabeledInstanceError,
     UnmappedLabelError,
@@ -46,11 +47,10 @@ class QAInstance:
             raise ValueError("distant instances must be labeled Yes or No")
 
 
-def label_direct_answer(answer_text: str, chunks: Optional[dict] = None) -> Optional[Label]:
+def label_direct_answer(answer_text: str) -> Optional[Label]:
     """Yes/No if exactly one polarity's keywords appear among the answer's
-    window tokens (qid.answer_window_tokens, chunks its memo); None when
-    neither or both do."""
-    tokens = answer_window_tokens(answer_text, chunks)
+    window tokens (qid.answer_window_tokens); None when neither or both do."""
+    tokens = answer_window_tokens(answer_text)
     saw_yes = not YES_KEYWORDS.isdisjoint(tokens)
     saw_no = not NO_KEYWORDS.isdisjoint(tokens)
     if saw_yes and not saw_no:
@@ -70,15 +70,16 @@ def extract_distant_instances(
     Context holds up to context_window turns preceding the question, most
     recent last. Matches without an answer turn are rejected.
     """
+    if context_window < 0:
+        raise InvalidConfigError(f"context_window must be >= 0, got {context_window}")
     by_dialogue = {d.dialogue_id: d for d in corpus}
     instances = []
-    chunks: dict[str, list[str]] = {}  # one lowered_tokens memo per call
     for match in matches:
         if match.answer is None:
             raise MalformedMatchError(
                 f"match on turn {match.question.turn_id!r} has no answer turn"
             )
-        label = label_direct_answer(match.answer.text, chunks)
+        label = label_direct_answer(match.answer.text)
         if label is None:
             continue
         dialogue = by_dialogue[match.question.dialogue_id]

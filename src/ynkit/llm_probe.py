@@ -5,9 +5,10 @@ examples, and the target question/answer pair, ending at "### Response:".
 Completions map back to labels by whole-token scan; anything with zero or
 several distinct label tokens counts as unmapped.
 
-Clients implement send(prompt, params) -> str. The replay client serves
-recorded completions keyed by a digest of (prompt, params), so parameter
-changes invalidate recordings and test runs never touch the network. The
+Clients implement send(prompt) -> str, sampling with GENERATION_PARAMS.
+The replay client serves recorded completions keyed by a digest of
+(prompt, GENERATION_PARAMS), so a change of parameters invalidates
+recordings, and test runs never touch the network. The
 live client posts JSON over the standard library's urllib with one
 connection per request, retries only failures that may pass (connection
 errors, timeouts, HTTP 429 and 5xx) and fails at once on the rest;
@@ -52,18 +53,8 @@ PROMPT_INSTRUCTION = (
 PROMPT_CLOSING_QUESTION = "Does the answer mean Yes, No or Middle?"
 
 
-@dataclass(frozen=True)
-class GenerationParams:
-    temperature: float = 0.1
-    top_p: float = 0.1
-    max_tokens: int = 4
-
-    def to_dict(self) -> dict:
-        return {
-            "temperature": self.temperature,
-            "top_p": self.top_p,
-            "max_tokens": self.max_tokens,
-        }
+# sent in this key order with every request, and hashed into every recording key
+GENERATION_PARAMS = {"temperature": 0.1, "top_p": 0.1, "max_tokens": 4}
 
 
 @dataclass(frozen=True)
@@ -86,6 +77,8 @@ def _input_block(question: str, answer: str) -> str:
 def build_prompt(instance: QAInstance, template: PromptTemplate = PromptTemplate(), shots: int = 0) -> str:
     """Byte-deterministic prompt: instruction, `shots` worked examples,
     then the target pair, ending at "### Response:"."""
+    if shots < 0:
+        raise InvalidConfigError(f"shots must be >= 0, got {shots}")
     if shots > len(template.shot_examples):
         raise InsufficientShotsError(
             f"requested {shots} shots but template has {len(template.shot_examples)} examples"
@@ -130,14 +123,14 @@ def _is_http_url(url: str) -> bool:
 
 
 class CompletionClient(Protocol):
-    def send(self, prompt: str, params: GenerationParams) -> str: ...
+    def send(self, prompt: str) -> str: ...
 
     def identity(self) -> str: ...
 
 
-def recording_key(prompt: str, params: GenerationParams) -> str:
+def recording_key(prompt: str) -> str:
     payload = json.dumps(
-        {"prompt": prompt, "params": params.to_dict()}, sort_keys=True
+        {"prompt": prompt, "params": GENERATION_PARAMS}, sort_keys=True
     ).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()
 
@@ -164,8 +157,8 @@ class ReplayClient:
             self.path = None
             self.store = dict(store)
 
-    def send(self, prompt: str, params: GenerationParams) -> str:
-        key = recording_key(prompt, params)
+    def send(self, prompt: str) -> str:
+        key = recording_key(prompt)
         if key not in self.store:
             raise MissingRecordingError(f"no recording for prompt digest {key}")
         return self.store[key]
@@ -181,9 +174,9 @@ class RecordingClient:
         self.inner = inner
         self.store: dict[str, str] = {}
 
-    def send(self, prompt: str, params: GenerationParams) -> str:
-        completion = self.inner.send(prompt, params)
-        self.store[recording_key(prompt, params)] = completion
+    def send(self, prompt: str) -> str:
+        completion = self.inner.send(prompt)
+        self.store[recording_key(prompt)] = completion
         return completion
 
     def identity(self) -> str:
@@ -244,8 +237,8 @@ class LiveClient:
         if self.api_key:
             self._headers["Authorization"] = f"Bearer {self.api_key}"
 
-    def send(self, prompt: str, params: GenerationParams) -> str:
-        body = json.dumps({"prompt": prompt, **params.to_dict()}).encode("utf-8")
+    def send(self, prompt: str) -> str:
+        body = json.dumps({"prompt": prompt, **GENERATION_PARAMS}).encode("utf-8")
         last_error: Optional[Exception] = None
         for attempt in range(self.max_retries + 1):
             if attempt:
@@ -312,22 +305,21 @@ def probe_benchmark(
     template: PromptTemplate,
     shots: int,
     client: CompletionClient,
-    params: GenerationParams = GenerationParams(),
     concurrency: int = 1,
 ) -> ProbeResult:
     """One mapped response per instance, in input order regardless of
     completion order."""
     prompts = [build_prompt(inst, template, shots) for inst in instances]
     if concurrency <= 1:
-        completions = [client.send(p, params) for p in prompts]
+        completions = [client.send(p) for p in prompts]
     else:
         with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            completions = list(pool.map(lambda p: client.send(p, params), prompts))
+            completions = list(pool.map(client.send, prompts))
     responses = tuple(map_response(c) for c in completions)
     unmapped = sum(1 for r in responses if r.is_unmapped)
     manifest = {
         "client": client.identity(),
-        "params": params.to_dict(),
+        "params": dict(GENERATION_PARAMS),
         "shots": shots,
         "n": len(instances),
         "unmapped": unmapped,

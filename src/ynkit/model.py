@@ -19,12 +19,12 @@ scores each row with its own gathered (classes, k) @ (k,) product: BLAS
 sums that product in an order of its own, and summing the rows any other
 way changes the last bits of the scores, and so the predictions file.
 
-A `train` run, like a loaded model across its `predict_proba` calls,
-tokenizes each distinct whitespace chunk and hashes each distinct n-gram
-once through a `FeatureMemo` it owns. The memo holds one table per (field,
-order), keyed by the n-gram's tokens, so a repeated n-gram builds no key
-string. Each SGD row gathers its weight rows once, from a (buckets,
-classes) array.
+A process tokenizes each distinct whitespace chunk once
+(`corpus.lowered_tokens`) and hashes each distinct n-gram once, through
+one table per (field, order, num_buckets) that lives as long as the
+process. A table is keyed by the n-gram's tokens, so a repeated n-gram
+builds no key string. Each SGD row gathers its weight rows once, from a
+(buckets, classes) array.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ import math
 import random
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -72,10 +72,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise InvalidConfigError("learning_rate must be positive")
-        if self.l2 < 0:
-            raise InvalidConfigError("l2 must be non-negative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise InvalidConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if not (math.isfinite(self.l2) and self.l2 >= 0):
+            raise InvalidConfigError(f"l2 must be finite and non-negative, got {self.l2}")
         if self.num_buckets < 2 or self.num_buckets & (self.num_buckets - 1):
             raise InvalidConfigError("num_buckets must be a power of two >= 2")
         for f in self.fields_used:
@@ -160,59 +160,42 @@ class _Ngrams(_Unigrams):
         return bucket
 
 
-class FeatureMemo(dict):
-    """The n-gram memo of one run under one config: (field, order) -> the
-    bucket table of that field's n-grams of that order, carrying as
-    `chunks` the same run's `corpus.lowered_tokens` memo."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.chunks: dict[str, list[str]] = {}
+# one table per (field, order, num_buckets) for the process: an n-gram's
+# bucket depends only on its field prefix, its tokens and the bucket count,
+# so a race between threads at worst stores an equal table or bucket twice
+_NGRAM_TABLES: dict[tuple[str, int, int], _Unigrams] = {}
 
 
-def _ngram_buckets(instance: QAInstance, config: TrainConfig, memo: dict) -> list[int]:
+def _ngram_buckets(instance: QAInstance, config: TrainConfig) -> list[int]:
     """The bucket of each n-gram of instance, field by field and order by
-    order, through memo's (field, order) tables (made on first use)."""
-    chunks = memo.chunks if isinstance(memo, FeatureMemo) else {}
+    order, through the process's n-gram tables (made on first use)."""
     orders = sorted(config.ngram_orders)
-    mask = config.num_buckets - 1
     buckets: list[int] = []
     for field_name, text in zip(config.fields_used, _field_texts(instance, config.fields_used)):
-        tokens = lowered_tokens(text, chunks)
+        tokens = lowered_tokens(text)
         del tokens[config.max_tokens_per_field :]
         for order in orders:
-            table = memo.get((field_name, order))
+            key = (field_name, order, config.num_buckets)
+            table = _NGRAM_TABLES.get(key)
             if table is None:
                 kind = _Unigrams if order == 1 else _Ngrams
-                table = memo[field_name, order] = kind(FIELD_PREFIXES[field_name] + ":", mask)
+                table = _NGRAM_TABLES[key] = kind(FIELD_PREFIXES[field_name] + ":", config.num_buckets - 1)
             grams = tokens if order == 1 else zip(*(tokens[i:] for i in range(order)))
             buckets += map(table.__getitem__, grams)
     return buckets
 
 
-def featurize(
-    instance: QAInstance,
-    config: TrainConfig = TrainConfig(),
-    memo: Optional[dict] = None,
-) -> dict[int, float]:
-    """Sparse L2-normalized bucket->weight map for one instance.
-
-    memo maps each (field, order) to its n-gram -> bucket table under this
-    config; pass the same dict to every call of a run so each distinct
-    n-gram is hashed once and a repeated one builds no key string. A
-    FeatureMemo also keeps each distinct chunk's tokens for the run.
-    """
+def featurize(instance: QAInstance, config: TrainConfig = TrainConfig()) -> dict[int, float]:
+    """Sparse L2-normalized bucket->weight map for one instance."""
     # buckets in first-seen order; the counts are exact integers, so the
     # norm does not depend on how they were accumulated
-    counts = Counter(_ngram_buckets(instance, config, {} if memo is None else memo))
+    counts = Counter(_ngram_buckets(instance, config))
     norm = math.sqrt(sum(c * c for c in counts.values()))
     return {bucket: c / norm for bucket, c in counts.items()}
 
 
 def featurize_many(
-    instances: Sequence[QAInstance],
-    config: TrainConfig = TrainConfig(),
-    memo: Optional[dict] = None,
+    instances: Sequence[QAInstance], config: TrainConfig = TrainConfig()
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The features of every instance as CSR rows (indptr, indices, values).
 
@@ -220,13 +203,11 @@ def featurize_many(
     order with their L2-normalized counts, bitwise equal to featurize's
     values; a row with no n-gram is empty. Only the n-gram lookups run per
     instance: counting, norms and sorting run once over the batch, on
-    (row << log2(buckets)) | bucket keys. memo is as for featurize.
+    (row << log2(buckets)) | bucket keys.
     """
-    if memo is None:
-        memo = {}
     flat, lengths = array("q"), array("q")
     for inst in instances:
-        buckets = _ngram_buckets(inst, config, memo)
+        buckets = _ngram_buckets(inst, config)
         flat.extend(buckets)
         lengths.append(len(buckets))
     n = len(lengths)
@@ -271,8 +252,6 @@ class LinearModel:
     weights: np.ndarray  # (classes, feature_config.num_buckets) float64
     bias: np.ndarray  # (classes,) float64
     feature_config: TrainConfig
-    # chunk and n-gram memo shared by every predict call on this model
-    ngram_memo: FeatureMemo = field(default_factory=FeatureMemo, init=False, repr=False, compare=False)
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -284,7 +263,7 @@ def softmax(scores: np.ndarray) -> np.ndarray:
 
 def predict_proba(model: LinearModel, instances: Sequence[QAInstance]) -> np.ndarray:
     """(instances, classes) probabilities, featurized as one batch."""
-    features = featurize_many(instances, model.feature_config, model.ngram_memo)
+    features = featurize_many(instances, model.feature_config)
     return _csr_proba(model, *features)
 
 
@@ -344,7 +323,7 @@ def train(plan: TrainingPlan, config: TrainConfig = TrainConfig()) -> LinearMode
                 if slot == len(distinct):
                     distinct.append(inst)
                 by_object[id(inst)] = (slot, label_index[inst.label])
-    indptr, all_indices, all_values = featurize_many(distinct, config, FeatureMemo())
+    indptr, all_indices, all_values = featurize_many(distinct, config)
     features = [
         (all_indices[lo:hi], all_values[lo:hi])
         for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist())

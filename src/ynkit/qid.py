@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .corpus import Corpus, Turn, _require, iter_jsonl, lowered_tokens, split_sentences
-from .errors import CorpusFormatError, NotAnnotatedError
+from .errors import CorpusFormatError, InvalidConfigError, NotAnnotatedError
 
 AUXILIARY_VERBS = frozenset(
     {
@@ -82,15 +82,13 @@ class QidStats:
     sample_seed: int
 
 
-def is_yes_no_question_relaxed(turn: Turn, chunks: Optional[dict] = None) -> bool:
+def is_yes_no_question_relaxed(turn: Turn) -> bool:
     """Question-side rules: auxiliary present, no wh-word, more than
-    MIN_TOKENS_EXCLUSIVE tokens, and text ends in '?'.
-
-    chunks is a `corpus.lowered_tokens` memo; share one across a scan."""
+    MIN_TOKENS_EXCLUSIVE tokens, and text ends in '?'."""
     stripped = turn.text.rstrip()
     if not stripped.endswith("?"):
         return False
-    tokens = lowered_tokens(turn.text, chunks)
+    tokens = lowered_tokens(turn.text)
     if len(tokens) <= MIN_TOKENS_EXCLUSIVE:
         return False
     if not WH_WORDS.isdisjoint(tokens):
@@ -98,18 +96,17 @@ def is_yes_no_question_relaxed(turn: Turn, chunks: Optional[dict] = None) -> boo
     return not AUXILIARY_VERBS.isdisjoint(tokens)
 
 
-def answer_window_tokens(text: str, chunks: Optional[dict] = None) -> list[str]:
-    """Lowercased tokens of the first ANSWER_SENTENCE_WINDOW sentences;
-    chunks is a `corpus.lowered_tokens` memo."""
+def answer_window_tokens(text: str) -> list[str]:
+    """Lowercased tokens of the first ANSWER_SENTENCE_WINDOW sentences."""
     tokens: list[str] = []
     for sentence in split_sentences(text)[:ANSWER_SENTENCE_WINDOW]:
-        tokens += lowered_tokens(sentence, chunks)
+        tokens += lowered_tokens(sentence)
     return tokens
 
 
-def has_direct_answer(next_turn: Turn, chunks: Optional[dict] = None) -> bool:
+def has_direct_answer(next_turn: Turn) -> bool:
     """True iff a yes or no keyword is among the turn's answer_window_tokens."""
-    tokens = answer_window_tokens(next_turn.text, chunks)
+    tokens = answer_window_tokens(next_turn.text)
     return not (YES_KEYWORDS.isdisjoint(tokens) and NO_KEYWORDS.isdisjoint(tokens))
 
 
@@ -136,15 +133,14 @@ def scan_corpus(
     replacement, seeded, for manual audit.
     """
     if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        raise InvalidConfigError(f"mode must be one of {MODES}, got {mode!r}")
     if sample_size < 0:
-        raise ValueError("sample_size must be >= 0")
+        raise InvalidConfigError(f"sample_size must be >= 0, got {sample_size}")
     if mode == "dialogue_act":
         if all(t.dialogue_act is None for d in corpus for t in d.turns):
             raise NotAnnotatedError("corpus carries no dialogue-act annotations")
 
     matches: list[QidMatch] = []
-    chunks: dict[str, list[str]] = {}  # one lowered_tokens memo per scan
     for dialogue in corpus:
         for i, turn in enumerate(dialogue.turns):
             next_turn = dialogue.turns[i + 1] if i + 1 < len(dialogue.turns) else None
@@ -154,9 +150,9 @@ def scan_corpus(
                 if not identify_by_dialogue_acts(turn):
                     continue
             else:
-                if not is_yes_no_question_relaxed(turn, chunks):
+                if not is_yes_no_question_relaxed(turn):
                     continue
-            direct = next_turn is not None and has_direct_answer(next_turn, chunks)
+            direct = next_turn is not None and has_direct_answer(next_turn)
             if mode == "strict" and not direct:
                 continue
             matches.append(
@@ -202,14 +198,13 @@ def load_matches(path: Union[str, Path], corpus: Corpus) -> list[QidMatch]:
         return index[turn_id]
 
     matches = []
-    chunks: dict[str, list[str]] = {}
     for where, obj in iter_jsonl(path):
         question = turn(_require(obj, "question_turn_id", where), "question", where)
         answer = None
         if obj.get("answer_turn_id") is not None:
             answer = turn(obj["answer_turn_id"], "answer", where)
         mode = obj.get("mode", "relaxed")
-        direct = mode == "strict" or (answer is not None and has_direct_answer(answer, chunks))
+        direct = mode == "strict" or (answer is not None and has_direct_answer(answer))
         matches.append(
             QidMatch(question=question, answer=answer, mode=mode, has_direct_answer=direct)
         )

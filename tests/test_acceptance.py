@@ -24,7 +24,6 @@ from ynkit.corpus import LABEL_ORDER, Label
 from ynkit.distant import balance_dataset, extract_distant_instances, read_instances
 from ynkit.evaluation import cohens_kappa, mcnemar, score
 from ynkit.llm_probe import (
-    GenerationParams,
     PromptTemplate,
     ReplayClient,
     build_prompt,
@@ -285,8 +284,6 @@ def test_criterion_8_prompt_fidelity(golden_dir, data_dir):
 
         instances = read_instances(data_dir / "probe_demo.jsonl")
         client = ReplayClient(data_dir / "replay_store.json")
-        result = probe_benchmark(
-            instances, PromptTemplate(), 0, client, params=GenerationParams()
-        )
+        result = probe_benchmark(instances, PromptTemplate(), 0, client)
         assert [r.label for r in result.responses] == [Y, N, M]
         assert result.unmapped_count == 0

@@ -1,8 +1,8 @@
 """The benchmark's hooks into ynkit still resolve.
 
 bench/tracing.py wraps each function in its TRACED table by module and
-attribute name, bench/measure.py times `model.featurize(inst, config)`
-without a memo, and bench/workloads.py builds prompts and scores reports
+attribute name, bench/measure.py times `model.featurize(inst, config)`,
+and bench/workloads.py builds prompts and scores reports
 itself. A rename or signature change in ynkit would otherwise show only
 when a benchmark run fails.
 """
@@ -94,7 +94,7 @@ def test_prompt_and_score_as_the_benchmark_calls_them():
 
 
 def test_featurize_as_the_benchmark_times_it(tmp_path):
-    """bench/measure.py::_featurize_us: a loaded model's config, no memo."""
+    """bench/measure.py::_featurize_us: an instance and a loaded model's config."""
     instances = make_gold_instances(SynthConfig(seed=3, n_gold=20))
     trained = model.train(build_gold_plan(instances, 1, 0), model.TrainConfig(num_buckets=2**10))
     model.save_model(trained, tmp_path / "model.json")

@@ -118,8 +118,11 @@ def test_blended_preconditions():
         BlendConfig(alpha=1.5, m=1, n=0, seed=0)
     with pytest.raises(InvalidConfigError):
         BlendConfig(alpha=0.5, m=0, n=0, seed=0)
-    with pytest.raises(InvalidConfigError):
-        BlendConfig(alpha=0.5, m=1, n=0, seed=0, distant_cap=0)
+    for cap in (0, -5):
+        with pytest.raises(InvalidConfigError, match=f"distant_cap must be > 0, got {cap}"):
+            build_blended_plan(GOLD, DISTANT, BlendConfig(alpha=0.5, m=1, n=0, seed=0, distant_cap=cap))
+        with pytest.raises(InvalidConfigError, match=f"distant_cap must be > 0, got {cap}"):
+            build_merged_plan(GOLD, DISTANT, epochs=1, seed=0, distant_cap=cap)
 
 
 @given(

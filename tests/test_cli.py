@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ynkit import cli
 from ynkit.cli import main
 from ynkit.corpus import load_corpus
 from ynkit.synth import SynthConfig, make_distant_corpus
@@ -222,7 +223,7 @@ def test_probe_with_shots_replay(data_dir, tmp_path):
     write_instances(shots, shots_path)
 
     class Stub:
-        def send(self, prompt, params):
+        def send(self, prompt):
             return "Middle"
 
         def identity(self):
@@ -419,6 +420,75 @@ def test_train_rejects_bad_feature_flags(trained_pipeline, tmp_path, capsys, fla
     _assert_one_line_error(rc, capsys.readouterr().err, needle)
 
 
+# a bad value for each numeric flag: subcommand, flags, and the message of
+# the one error line it must give
+_BAD_NUMBERS = [
+    ("train", ["--lr", "nan"], "learning_rate must be finite and positive, got nan"),
+    ("train", ["--l2", "nan"], "l2 must be finite and non-negative, got nan"),
+    ("train", ["--lr", "inf"], "learning_rate must be finite and positive, got inf"),
+    ("train", ["--buckets", "3"], "num_buckets must be a power of two >= 2"),
+    ("plan", ["--cap", "0"], "distant_cap must be > 0, got 0"),
+    ("plan", ["--cap", "-5"], "distant_cap must be > 0, got -5"),
+    ("plan", ["--epochs", "0"], "epochs must be >= 1, got 0"),
+    ("plan", ["--strategy", "blended", "--alpha", "nan"], "alpha must be in [0, 1], got nan"),
+    ("plan", ["--strategy", "blended", "--m", "0"], "m must be >= 1, got 0"),
+    ("plan", ["--strategy", "blended", "--n", "-1"], "n must be >= 0, got -1"),
+    ("identify", ["--sample", "-1"], "sample_size must be >= 0, got -1"),
+    ("distill", ["--context-window", "-1"], "context_window must be >= 0, got -1"),
+    ("probe", ["--shots", "-1"], "shots must be >= 0, got -1"),
+]
+
+# numeric flags that take any value: flag -> why
+_NUMERIC_FLAGS_WITHOUT_BAD_VALUES = {
+    "--seed": "any integer seeds the random draws",
+    "--concurrency": "a value of 1 or less sends one request at a time",
+}
+
+
+def test_every_numeric_flag_has_a_bad_value_case_or_a_reason():
+    _, subparsers = cli.build_parser()
+    numeric = {
+        action.option_strings[-1]
+        for sub in subparsers.values()
+        for action in sub._actions
+        if action.type in (int, float)
+    }
+    tested = {flags[-2] for _, flags, _ in _BAD_NUMBERS}
+    assert not tested & set(_NUMERIC_FLAGS_WITHOUT_BAD_VALUES)
+    assert numeric == tested | set(_NUMERIC_FLAGS_WITHOUT_BAD_VALUES)
+
+
+@pytest.mark.parametrize("command, flags, needle", _BAD_NUMBERS, ids=[" ".join(c[1]) for c in _BAD_NUMBERS])
+def test_bad_numeric_flag_is_one_error_line(
+    command, flags, needle, trained_pipeline, fixture_corpus_path, data_dir, tmp_path, capsys
+):
+    run, out = trained_pipeline, str(tmp_path / "out")
+    inputs = {
+        "identify": ["--corpus", str(fixture_corpus_path)],
+        "distill": ["--corpus", str(fixture_corpus_path), "--matches", str(run["matches"])],
+        "plan": ["--gold", str(run["distant"]), "--distant", str(run["distant"])],
+        "train": ["--plan", str(run["plandir"])],
+        "probe": ["--in", str(data_dir / "probe_demo.jsonl"), "--shot-examples", str(run["distant"]),
+                  "--store", str(data_dir / "replay_store.json")],
+    }
+    rc = main([command, *inputs[command], *flags, "--out", out])
+    _assert_one_line_error(rc, capsys.readouterr().err, needle)
+    assert not Path(out).exists()
+
+
+@pytest.mark.parametrize("key, value", [("learning_rate", float("nan")), ("l2", float("inf"))])
+def test_predict_rejects_non_finite_training_config(trained_pipeline, tmp_path, capsys, key, value):
+    damaged = tmp_path / "model.json"
+    payload = json.loads(trained_pipeline["model"].read_text(encoding="utf-8"))
+    payload["config"][key] = value  # json writes NaN and Infinity, and reads them back
+    damaged.write_text(json.dumps(payload), encoding="utf-8")
+    rc = main(["predict", "--model", str(damaged), "--in", str(trained_pipeline["distant"]),
+               "--out", str(tmp_path / "preds.jsonl")])
+    err = capsys.readouterr().err
+    _assert_one_line_error(rc, err, f"error: {damaged}: damaged ")
+    assert f"{key} must be finite" in err
+
+
 def test_predict_rejects_truncated_model(trained_pipeline, tmp_path, capsys):
     damaged = tmp_path / "model.json"
     data = trained_pipeline["model"].read_bytes()
@@ -482,6 +552,10 @@ def _predict_with_cpus(monkeypatch, capsys, cpus, run, infile, out) -> tuple[byt
 def test_predictions_do_not_depend_on_worker_count(trained_pipeline, tmp_path, monkeypatch, capsys):
     run = trained_pipeline
     n = len(run["distant"].read_text().splitlines())
+    assert n < cli.MIN_PREDICT_SLICE * 2  # too few instances for a second slice
+    out, forks = _predict_with_cpus(monkeypatch, capsys, 2, run, run["distant"], tmp_path / "p.jsonl")
+    assert out == run["preds"].read_bytes() and forks == 0
+    monkeypatch.setattr(cli, "MIN_PREDICT_SLICE", 1)
     for cpus in (1, 2, n + 3):  # n + 3: more CPUs than instances
         out, forks = _predict_with_cpus(monkeypatch, capsys, cpus, run, run["distant"], tmp_path / "p.jsonl")
         assert out == run["preds"].read_bytes()

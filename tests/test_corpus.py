@@ -405,11 +405,12 @@ def test_lowered_tokens_tokenize_each_chunk_once(monkeypatch):
     calls = []
     real = corpus_module.tokenize
     monkeypatch.setattr(corpus_module, "tokenize", lambda text: calls.append(text) or real(text))
-    chunks: dict = {}
+    monkeypatch.setattr(corpus_module, "_CHUNK_TOKENS", corpus_module._ChunkTokens())
     texts = ["Do you?", "do  YOU (really)?", "Yes, you do."]
     for text in texts + texts:
-        assert lowered_tokens(text, chunks) == [t.lower() for t in real(text)]
+        assert lowered_tokens(text) == [t.lower() for t in real(text)]
     assert sorted(calls) == sorted({chunk for text in texts for chunk in text.split()})
+    assert sorted(calls) == sorted(corpus_module._CHUNK_TOKENS)
 
 
 # -- split_sentences --

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import socket
@@ -15,8 +16,9 @@ from ynkit.cli import main
 from ynkit.corpus import Label
 from ynkit.distant import QAInstance
 from ynkit.errors import InsufficientShotsError, MissingRecordingError, TransportError
+from ynkit import llm_probe
 from ynkit.llm_probe import (
-    GenerationParams,
+    GENERATION_PARAMS,
     LiveClient,
     PromptTemplate,
     RecordingClient,
@@ -87,13 +89,15 @@ def test_map_response_table():
     assert map_response("middle ground, middle of the road").label is Label.MIDDLE
 
 
-def test_recording_key_sensitive_to_params():
-    default = recording_key("prompt", GenerationParams())
-    hotter = recording_key("prompt", GenerationParams(temperature=0.9))
-    other_prompt = recording_key("prompt2", GenerationParams())
-    assert default != hotter
+def test_recording_key_sensitive_to_params(monkeypatch):
+    default = recording_key("prompt")
+    other_prompt = recording_key("prompt2")
+    # the digest the recorded stores were keyed by
+    payload = b'{"params": {"max_tokens": 4, "temperature": 0.1, "top_p": 0.1}, "prompt": "prompt"}'
+    assert default == hashlib.sha256(payload).hexdigest()
     assert default != other_prompt
-    assert default == recording_key("prompt", GenerationParams())
+    monkeypatch.setitem(llm_probe.GENERATION_PARAMS, "temperature", 0.9)
+    assert recording_key("prompt") != default
 
 
 class StubClient:
@@ -101,7 +105,7 @@ class StubClient:
         self.completions = completions
         self.calls = 0
 
-    def send(self, prompt, params):
+    def send(self, prompt):
         completion = self.completions[self.calls % len(self.completions)]
         self.calls += 1
         return completion
@@ -147,7 +151,7 @@ def test_replay_miss_names_digest(tmp_path):
     store_path = tmp_path / "empty.json"
     store_path.write_text("{}")
     client = ReplayClient(store_path)
-    expected = recording_key(build_prompt(TARGET, PromptTemplate(), 0), GenerationParams())
+    expected = recording_key(build_prompt(TARGET, PromptTemplate(), 0))
     with pytest.raises(MissingRecordingError, match=expected):
         probe_benchmark([TARGET], PromptTemplate(), 0, client)
 
@@ -165,7 +169,7 @@ def test_bundled_replay_store_runs_offline(data_dir):
 class SlowStub:
     """Returns a per-prompt completion; order must survive concurrency."""
 
-    def send(self, prompt, params):
+    def send(self, prompt):
         if "spicy" in prompt:
             time.sleep(0.05)
             return "Yes"
@@ -281,11 +285,10 @@ def test_live_client_payload_shapes(endpoint):
     ]
     sleeps = []
     client = _client(endpoint.url, sleeps)
-    outcomes = [client.send("prompt", GenerationParams()) for _ in range(3)]
+    outcomes = [client.send("prompt") for _ in range(3)]
     assert outcomes == ["Yes", "No", "Middle"]
     assert len(endpoint.requests) == 3 and sleeps == []
-    sent = json.loads(endpoint.requests[0][1])
-    assert sent == {"prompt": "prompt", **GenerationParams().to_dict()}
+    assert endpoint.requests[0][1] == b'{"prompt": "prompt", "temperature": 0.1, "top_p": 0.1, "max_tokens": 4}'
 
 
 def test_live_client_retries_then_fails(endpoint):
@@ -293,7 +296,7 @@ def test_live_client_retries_then_fails(endpoint):
     sleeps = []
     client = _client(endpoint.url, sleeps, max_retries=2, backoff_seconds=1.0)
     with pytest.raises(TransportError, match="3 attempts: HTTP Error 503"):
-        client.send("prompt", GenerationParams())
+        client.send("prompt")
     assert len(endpoint.requests) == 3
     assert sleeps == [1.0, 2.0]  # bounded exponential backoff
 
@@ -305,7 +308,7 @@ def test_live_client_retries_refused_connection():
     sleeps = []
     client = _client(f"http://127.0.0.1:{port}/", sleeps, max_retries=2)
     with pytest.raises(TransportError, match="3 attempts"):
-        client.send("prompt", GenerationParams())
+        client.send("prompt")
     assert sleeps == [1.0, 2.0]
 
 
@@ -318,7 +321,7 @@ def test_live_client_retries_what_can_recover(endpoint, step):
     endpoint.script = [step]
     sleeps = []
     client = _client(endpoint.url, sleeps, timeout=0.3)
-    assert client.send("prompt", GenerationParams()) == _default_completion("prompt")
+    assert client.send("prompt") == _default_completion("prompt")
     assert len(endpoint.requests) == 2
     assert sleeps == [1.0]
 
@@ -339,7 +342,7 @@ def test_live_client_fails_fast_on_what_cannot_recover(endpoint, step, needle):
     sleeps = []
     client = _client(endpoint.url, sleeps)
     with pytest.raises(TransportError, match=needle) as excinfo:
-        client.send("prompt", GenerationParams())
+        client.send("prompt")
     assert endpoint.url in str(excinfo.value)
     assert len(endpoint.requests) == 1
     assert sleeps == []
@@ -381,8 +384,8 @@ def test_probe_cli_live_same_output_at_any_concurrency(endpoint, data_dir, tmp_p
 def test_live_send_does_not_import_requests(endpoint):
     script = (
         "import sys\n"
-        "from ynkit.llm_probe import GenerationParams, LiveClient\n"
-        f"print(LiveClient(endpoint={endpoint.url!r}, api_key='k').send('prompt', GenerationParams()))\n"
+        "from ynkit.llm_probe import LiveClient\n"
+        f"print(LiveClient(endpoint={endpoint.url!r}, api_key='k').send('prompt'))\n"
         "print('requests' in sys.modules)\n"
     )
     src = str(Path(ynkit.__file__).resolve().parents[1])
@@ -400,7 +403,5 @@ def test_live_client_requires_endpoint(monkeypatch):
 
 
 def test_generation_defaults_match_documented_values():
-    params = GenerationParams()
-    assert params.temperature == 0.1
-    assert params.top_p == 0.1
-    assert params.max_tokens == 4
+    # values and key order both reach the request body and the recording keys
+    assert list(GENERATION_PARAMS.items()) == [("temperature", 0.1), ("top_p", 0.1), ("max_tokens", 4)]

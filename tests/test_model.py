@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ynkit import model as model_module
+from ynkit import corpus as corpus_module, model as model_module
 from ynkit.blend import (
     BlendConfig,
     build_blended_plan,
@@ -21,7 +21,6 @@ from ynkit.distant import QAInstance
 from ynkit.errors import InvalidConfigError, UnlabeledInstanceError
 from ynkit.model import (
     FIELD_PREFIXES,
-    FeatureMemo,
     LinearModel,
     TrainConfig,
     _as_arrays,
@@ -110,11 +109,41 @@ def test_featurize_matches_plain_loop(config):
         _inst("?!", "Yes , yes , yes ...", Label.YES, context=("", "(a) [b]")),
         _inst("Is it?", "x", Label.NO, context=()),
     ]
-    memo: dict = {}
-    for inst in instances:
+    for inst in instances + instances:  # the second pass finds every n-gram cached
         expected = naive_featurize(inst, config)
         assert list(featurize(inst, config).items()) == list(expected.items())
-        assert list(featurize(inst, config, memo).items()) == list(expected.items())
+
+
+def _fresh_caches(monkeypatch):
+    """Empty chunk-token and n-gram tables for the rest of a test."""
+    monkeypatch.setattr(corpus_module, "_CHUNK_TOKENS", corpus_module._ChunkTokens())
+    monkeypatch.setattr(model_module, "_NGRAM_TABLES", {})
+
+
+def test_featurize_under_several_configs_in_one_process(monkeypatch):
+    """Configs that differ in num_buckets or ngram_orders, one after the
+    other and back, each get the oracle's features from the shared tables."""
+    _fresh_caches(monkeypatch)
+    instances = make_test_instances(SynthConfig(seed=4, n_test=30))
+    small, large = 2**6, 2**12
+    configs = [
+        TrainConfig(num_buckets=small, ngram_orders=(1, 2)),
+        TrainConfig(num_buckets=large, ngram_orders=(1, 2)),
+        TrainConfig(num_buckets=large, ngram_orders=(2, 3)),
+        TrainConfig(num_buckets=small, ngram_orders=(2, 3)),
+        TrainConfig(num_buckets=small, ngram_orders=(1, 2)),
+    ]
+    for config in configs:
+        indptr, indices, values = featurize_many(instances, config)
+        for i, inst in enumerate(instances):
+            expected = naive_featurize(inst, config)
+            assert list(featurize(inst, config).items()) == list(expected.items())
+            expected_indices, expected_values = _as_arrays(expected)
+            assert indices[indptr[i] : indptr[i + 1]].tobytes() == expected_indices.tobytes()
+            assert values[indptr[i] : indptr[i + 1]].tobytes() == expected_values.tobytes()
+    assert {key[1:] for key in model_module._NGRAM_TABLES} == {
+        (order, buckets) for order in (1, 2, 3) for buckets in (small, large)
+    }
 
 
 # chunks of punctuation only, apostrophes, mixed and Unicode case; drawn
@@ -135,15 +164,17 @@ _TEXTS = st.lists(
     max_tokens=st.integers(1, 9),
 )
 def test_shared_chunk_memo_matches_plain_loop(texts, max_tokens):
-    """One FeatureMemo across many instances gives the oracle's features,
-    also where max_tokens_per_field cuts through a chunk's tokens."""
+    """The process caches, shared by many instances, give the oracle's
+    features, also where max_tokens_per_field cuts through a chunk's tokens."""
     config = TrainConfig(num_buckets=2**6, ngram_orders=(1, 2, 3), max_tokens_per_field=max_tokens)
     instances = [_inst(q, a, Label.YES, context=context) for context, q, a in texts]
-    memo = FeatureMemo()
-    for inst in instances + instances:
-        assert list(featurize(inst, config, memo).items()) == list(naive_featurize(inst, config).items())
-    assert all(tokens == [t.lower() for t in tokenize(chunk)] for chunk, tokens in memo.chunks.items())
-    assert all(bucket == fnv1a_64(key) % 2**6 for key, bucket in _memo_entries(memo))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _fresh_caches(monkeypatch)
+        for inst in instances + instances:
+            assert list(featurize(inst, config).items()) == list(naive_featurize(inst, config).items())
+        chunk_tokens = corpus_module._CHUNK_TOKENS.items()
+        assert all(tokens == [t.lower() for t in tokenize(chunk)] for chunk, tokens in chunk_tokens)
+        assert all(bucket == fnv1a_64(key) % 2**6 for key, bucket in _memo_entries())
 
 
 _MAYBE_EMPTY = st.one_of(st.sampled_from([" ", " \t "]), _TEXTS)  # blank: no tokens
@@ -175,7 +206,7 @@ def test_featurize_many_rows_equal_featurize_and_oracle(texts, orders, fields, m
         num_buckets=buckets, ngram_orders=orders, fields_used=fields, max_tokens_per_field=max_tokens
     )
     instances = _batch(texts)
-    indptr, indices, values = featurize_many(instances, config, FeatureMemo())
+    indptr, indices, values = featurize_many(instances, config)
     assert indptr[0] == 0 and indptr[-1] == len(indices) == len(values)
     assert indptr[1] == 0  # the first instance has no text
     for i, inst in enumerate(instances):
@@ -212,11 +243,11 @@ def test_predict_proba_rows_equal_naive_predict(texts, orders, fields, weight_sc
         assert predict(model, inst) == (label, dict(zip(LABEL_ORDER, expected.tolist())))
 
 
-def _memo_entries(memo):
-    """(key string, bucket) for each n-gram in a featurize memo: the field
-    prefix plus the n-gram's tokens joined by "_"."""
+def _memo_entries():
+    """(key string, bucket) for each n-gram in the process's n-gram tables:
+    the field prefix plus the n-gram's tokens joined by "_"."""
     entries = []
-    for (field_name, order), table in memo.items():
+    for (field_name, order, _), table in model_module._NGRAM_TABLES.items():
         prefix = FIELD_PREFIXES[field_name] + ":"
         for gram, bucket in table.items():
             assert (type(gram) is str) == (order == 1)
@@ -441,13 +472,14 @@ def test_load_model_damaged_file_names_path(tmp_path, damage):
         load_model(path)
 
 
-def test_shared_memo_gives_same_features():
+def test_shared_memo_gives_same_features(monkeypatch):
+    _fresh_caches(monkeypatch)
     config = TrainConfig(num_buckets=2**12)
     instances = _toy_separable(4)
-    memo: dict = {}
     for inst in instances + instances:
-        assert featurize(inst, config, memo) == featurize(inst, config)
-    assert memo and all(bucket == fnv1a_64(key) % 2**12 for key, bucket in _memo_entries(memo))
+        assert featurize(inst, config) == naive_featurize(inst, config)
+    entries = _memo_entries()
+    assert entries and all(bucket == fnv1a_64(key) % 2**12 for key, bucket in entries)
 
 
 # -- invariants of training on an exported blended plan --
@@ -520,9 +552,9 @@ def test_train_featurizes_each_distinct_text_once(tmp_path, monkeypatch):
     calls = []
     real = model_module.featurize_many
 
-    def counting(instances, config, memo=None):
+    def counting(instances, config):
         calls.extend((inst.question, inst.answer) for inst in instances)
-        return real(instances, config, memo)
+        return real(instances, config)
 
     monkeypatch.setattr(model_module, "featurize_many", counting)
     train(plan, _PLAN_CONFIG)
@@ -535,13 +567,14 @@ def test_train_featurizes_each_distinct_text_once(tmp_path, monkeypatch):
 def test_predict_hashes_each_distinct_ngram_once(monkeypatch):
     instances = _toy_separable(4)
     model = train(build_gold_plan(instances, 1, 0), TrainConfig(num_buckets=2**12))
+    _fresh_caches(monkeypatch)
     calls = []
     real = model_module.fnv1a_64
     monkeypatch.setattr(model_module, "fnv1a_64", lambda key: calls.append(key) or real(key))
     for inst in instances + instances:
         predict(model, inst)
     # one hash per distinct (field, order, n-gram), each of its own key
-    entries = _memo_entries(model.ngram_memo)
+    entries = _memo_entries()
     assert calls and len(calls) == len(set(calls)) == len(entries)
     assert sorted(calls) == sorted(key for key, _ in entries)
 
@@ -553,9 +586,10 @@ def test_unigram_and_bigram_with_one_key_string_hash_once_each(monkeypatch):
     calls = []
     real = model_module.fnv1a_64
     monkeypatch.setattr(model_module, "fnv1a_64", lambda key: calls.append(key) or real(key))
-    memo = FeatureMemo()
+    _fresh_caches(monkeypatch)
     inst = _inst("Is it?", "a_b a b", Label.YES)
     for _ in range(3):
-        assert list(featurize(inst, config, memo).items()) == list(naive_featurize(inst, config).items())
+        assert list(featurize(inst, config).items()) == list(naive_featurize(inst, config).items())
     assert sorted(calls) == ["a:a", "a:a_b", "a:a_b", "a:a_b_a", "a:b"]
-    assert memo["answer", 1]["a_b"] == memo["answer", 2]["a", "b"]
+    tables = model_module._NGRAM_TABLES
+    assert tables["answer", 1, 2**12]["a_b"] == tables["answer", 2, 2**12]["a", "b"]

@@ -207,6 +207,7 @@ def test_scan_tokenizes_each_distinct_chunk_once(fixture_corpus, monkeypatch):
     chunks = {chunk for d in corpus for t in d.turns for chunk in t.text.split()}
     for mode in ("relaxed", "strict"):
         calls.clear()
+        monkeypatch.setattr(corpus_module, "_CHUNK_TOKENS", corpus_module._ChunkTokens())
         assert scan_corpus(corpus, mode, sample_size=0)[0] == expected[mode]
         assert calls and len(calls) == len(set(calls)) and set(calls) <= chunks
 
