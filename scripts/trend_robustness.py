@@ -28,7 +28,7 @@ def run_seed(seed: int):
     bundle = make_trend_bundle(SynthConfig(seed=seed))
     matches, _ = scan_corpus(bundle.corpus, "strict", sample_size=0, seed=seed)
     distant = balance_dataset(extract_distant_instances(bundle.corpus, matches), seed=seed)
-    train_config = TrainConfig(seed=seed, ngram_orders=(1,), fields_used=("answer",))
+    train_config = TrainConfig(ngram_orders=(1,), fields_used=("answer",))
     plans = {
         "gold_only": build_gold_plan(bundle.gold, EPOCHS, seed),
         "merged": build_merged_plan(bundle.gold, distant, EPOCHS, seed),

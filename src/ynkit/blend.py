@@ -40,13 +40,8 @@ class BlendConfig:
 
 @dataclass(frozen=True)
 class EpochDataset:
-    gold_count: int
-    distant_count: int
+    gold_count: int  # the other len(instances) - gold_count are distant
     instances: tuple[QAInstance, ...]
-
-    def __post_init__(self):
-        if self.gold_count + self.distant_count != len(self.instances):
-            raise InvalidConfigError("epoch counts do not add up to instance count")
 
 
 @dataclass(frozen=True)
@@ -86,11 +81,7 @@ def _apply_cap(distant: Sequence[QAInstance], cap: Optional[int], seed: int) -> 
 def _epoch(gold_part: list[QAInstance], distant_part: list[QAInstance], seed: int, index: int) -> EpochDataset:
     instances = gold_part + distant_part
     _rng(seed, "epoch", index).shuffle(instances)
-    return EpochDataset(
-        gold_count=len(gold_part),
-        distant_count=len(distant_part),
-        instances=tuple(instances),
-    )
+    return EpochDataset(gold_count=len(gold_part), instances=tuple(instances))
 
 
 def build_merged_plan(
@@ -189,12 +180,11 @@ def load_plan(directory: Union[str, Path]) -> TrainingPlan:
 
     plan.json's epoch_sizes name the epoch files that must be there,
     epoch_000.jsonl onwards, and the row count of each; a missing, extra or
-    mis-sized epoch file is an error. Gold/distant counts per epoch come
-    from plan.json's gold_counts, each an integer from 0 to its epoch's
-    size, or are counted by source when plan.json lists none. Instance
-    identity within each epoch file is preserved in order. Each distinct
-    line is decoded once per call, and every row that repeats it, in any
-    epoch, is the same object.
+    mis-sized epoch file is an error. The gold count of each epoch comes
+    from plan.json's gold_counts, which must be there too, each an integer
+    from 0 to its epoch's size. Instance identity within each epoch file
+    is preserved in order. Each distinct line is decoded once per call,
+    and every row that repeats it, in any epoch, is the same object.
     """
     directory = Path(directory)
     plan_path = directory / "plan.json"
@@ -209,8 +199,10 @@ def load_plan(directory: Union[str, Path]) -> TrainingPlan:
         raise InvalidConfigError(f"{plan_path}: no epoch_sizes list")
     if not sizes:
         raise EmptyPlanError(f"{plan_path}: lists no epochs")
-    gold_counts = manifest.get("gold_counts", [None] * len(sizes))
-    if not isinstance(gold_counts, list) or len(gold_counts) != len(sizes):
+    gold_counts = manifest.get("gold_counts")
+    if not isinstance(gold_counts, list):
+        raise InvalidConfigError(f"{plan_path}: no gold_counts list")
+    if len(gold_counts) != len(sizes):
         raise InvalidConfigError(f"{plan_path}: gold_counts does not match epoch_sizes")
     expected = [directory / f"epoch_{i:03d}.jsonl" for i in range(len(sizes))]
     found = set(directory.glob("epoch_*.jsonl"))
@@ -228,20 +220,12 @@ def load_plan(directory: Union[str, Path]) -> TrainingPlan:
             raise InvalidConfigError(
                 f"{path}: {len(instances)} rows, plan.json lists {size}"
             )
-        if "gold_counts" not in manifest:
-            gold_count = sum(1 for inst in instances if inst.source == "gold")
-        elif type(gold_count) is not int or not 0 <= gold_count <= size:  # bool is not int
+        if type(gold_count) is not int or not 0 <= gold_count <= size:  # bool is not int
             raise InvalidConfigError(
                 f"{plan_path}: gold_counts[{i}] must be an integer in [0, {size}], "
                 f"got {gold_count!r}"
             )
-        epochs.append(
-            EpochDataset(
-                gold_count=gold_count,
-                distant_count=len(instances) - gold_count,
-                instances=instances,
-            )
-        )
+        epochs.append(EpochDataset(gold_count=gold_count, instances=instances))
     strategy = manifest.get("strategy", "merged")
     return TrainingPlan(epochs=tuple(epochs), strategy=strategy, provenance=manifest)
 

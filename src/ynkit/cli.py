@@ -28,14 +28,14 @@ DEFAULT_SEED = 1729  # fixed so bare runs are reproducible; override with --seed
 _encode_sorted = json.JSONEncoder(sort_keys=True).encode
 
 
-def _read_config_file(path: str, known_keys: set[str]) -> dict:
-    """Parse a flat key = value file (strings, ints, floats, booleans);
-    a key outside known_keys is an error."""
+def _read_config_file(path: str, known_keys: set[str]) -> dict[str, str]:
+    """Parse a flat key = value file into strings; a key outside
+    known_keys is an error."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise YnkitError(f"{path}: not UTF-8 ({exc.reason})") from None
-    values: dict = {}
+    values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -46,18 +46,35 @@ def _read_config_file(path: str, known_keys: set[str]) -> dict:
         key = key.strip().replace("-", "_")
         if key not in known_keys:
             raise YnkitError(f"{path}: unknown key {key!r}")
-        value = value.strip().strip('"').strip("'")
-        if value.lower() in ("true", "false"):
-            values[key] = value.lower() == "true"
-        else:
-            try:
-                values[key] = int(value)
-            except ValueError:
-                try:
-                    values[key] = float(value)
-                except ValueError:
-                    values[key] = value
+        values[key] = value.strip().strip('"').strip("'")
     return values
+
+
+def _config_defaults(path: str, values: dict[str, str], parser: argparse.ArgumentParser) -> dict:
+    """The config file's values for parser's flags, each converted and
+    checked as the flag converts and checks its command-line value (argparse
+    applies neither type nor choices to a default that is not a string)."""
+    defaults = {}
+    for action in parser._actions:
+        text = values.get(action.dest)
+        if text is None or action.dest == "config":
+            continue
+        if isinstance(action, argparse._StoreTrueAction):
+            if text.lower() not in ("true", "false"):
+                raise YnkitError(f"{path}: {action.dest}: invalid value: {text!r} (choose from true, false)")
+            defaults[action.dest] = text.lower() == "true"
+            continue
+        convert = int if isinstance(action, argparse._CountAction) else action.type or str
+        try:
+            value = convert(text)
+        except ValueError:
+            raise YnkitError(f"{path}: {action.dest}: invalid {convert.__name__} value: {text!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise YnkitError(
+                f"{path}: {action.dest}: invalid choice: {text!r} (choose from {', '.join(action.choices)})"
+            )
+        defaults[action.dest] = value
+    return defaults
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -140,9 +157,9 @@ def _cmd_plan(args) -> int:
     return 0
 
 
-def _ngram_orders(value) -> tuple[int, ...]:
+def _ngram_orders(value: str) -> tuple[int, ...]:
     try:
-        return tuple(int(n) for n in str(value).split(","))
+        return tuple(int(n) for n in value.split(","))
     except ValueError:
         raise InvalidConfigError(
             f"--ngrams: expected comma-separated integers, got {value!r}"
@@ -157,8 +174,7 @@ def _cmd_train(args) -> int:
         l2=args.l2,
         num_buckets=args.buckets,
         ngram_orders=_ngram_orders(args.ngrams),
-        fields_used=tuple(f.strip() for f in str(args.fields).split(",")),
-        seed=args.seed,
+        fields_used=tuple(f.strip() for f in args.fields.split(",")),
     )
     plan = blend.load_plan(args.plan)
     trained = model.train(plan, config)
@@ -402,16 +418,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         known_keys = {a.dest for p in registry.values() for a in p._actions}
         try:
             file_values = _read_config_file(known.config, known_keys)
+            for sub_parser in registry.values():
+                sub_parser.set_defaults(**_config_defaults(known.config, file_values, sub_parser))
         except FileNotFoundError:
             print(f"error: config file not found: {known.config}", file=sys.stderr)
             return 1
         except YnkitError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        for sub_parser in registry.values():
-            sub_parser.set_defaults(
-                **{k: v for k, v in file_values.items() if k != "config"}
-            )
 
     args = parser.parse_args(argv)
     _setup_logging(args.verbose)

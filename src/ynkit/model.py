@@ -32,7 +32,6 @@ from __future__ import annotations
 import base64
 import json
 import math
-import random
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -69,7 +68,6 @@ class TrainConfig:
     ngram_orders: tuple[int, ...] = (1, 2)
     fields_used: tuple[str, ...] = ("context", "question", "answer")
     max_tokens_per_field: int = 512
-    seed: int = 0
 
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -103,7 +101,6 @@ class TrainConfig:
             "ngram_orders": list(self.ngram_orders),
             "fields_used": list(self.fields_used),
             "max_tokens_per_field": self.max_tokens_per_field,
-            "seed": self.seed,
         }
 
     @classmethod
@@ -115,7 +112,6 @@ class TrainConfig:
             ngram_orders=tuple(obj["ngram_orders"]),
             fields_used=tuple(obj["fields_used"]),
             max_tokens_per_field=obj.get("max_tokens_per_field", 512),
-            seed=obj.get("seed", 0),
         )
 
 
@@ -239,13 +235,6 @@ def featurize_many(
     return indptr, keys, values
 
 
-def _as_arrays(features: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
-    buckets = sorted(features)
-    indices = np.array(buckets, dtype=np.int64)
-    values = np.array([features[b] for b in buckets], dtype=np.float64)
-    return indices, values
-
-
 @dataclass
 class LinearModel:
     class_labels: tuple[Label, ...]
@@ -300,7 +289,10 @@ def train(plan: TrainingPlan, config: TrainConfig = TrainConfig()) -> LinearMode
         raise EmptyPlanError("training plan contains no instances")
     labels = LABEL_ORDER
     label_index = {label: i for i, label in enumerate(labels)}
-    stored = np.zeros((config.num_buckets, len(labels)), dtype=np.float64)
+    try:
+        stored = np.zeros((config.num_buckets, len(labels)), dtype=np.float64)
+    except (ValueError, MemoryError) as exc:  # num_buckets too large to allocate
+        raise InvalidConfigError(f"num_buckets {config.num_buckets} cannot be allocated: {exc}") from None
     bias = np.zeros(len(labels), dtype=np.float64)
     scale = 1.0
     decay = 1.0 - config.learning_rate * config.l2
@@ -357,95 +349,6 @@ def train(plan: TrainingPlan, config: TrainConfig = TrainConfig()) -> LinearMode
         bias=bias,
         feature_config=config,
     )
-
-
-# -- gradient verification --
-
-
-def log_loss_and_gradient(
-    weights: np.ndarray,
-    bias: np.ndarray,
-    examples: list[tuple[dict[int, float], int]],
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Total multinomial log-loss and its analytic gradient (no L2 term)."""
-    grad_w = np.zeros_like(weights)
-    grad_b = np.zeros_like(bias)
-    loss = 0.0
-    for features, label_idx in examples:
-        indices, values = _as_arrays(features)
-        scores = weights[:, indices] @ values + bias if len(indices) else bias.copy()
-        shifted = scores - scores.max()
-        log_z = np.log(np.exp(shifted).sum()) + scores.max()
-        loss += log_z - scores[label_idx]
-        probs = np.exp(scores - log_z)
-        probs[label_idx] -= 1.0
-        if len(indices):
-            grad_w[:, indices] += np.outer(probs, values)
-        grad_b += probs
-    return loss, grad_w, grad_b
-
-
-def _probe_gradients(
-    config: TrainConfig, probe_size: int, step: float = 1e-5
-) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic vs central finite-difference gradients on a seeded probe
-    of at most 10 distinct features. Returns the two flat gradient vectors
-    over every touched parameter."""
-    if probe_size < 1:
-        raise InvalidConfigError("probe_size must be >= 1")
-    rng = random.Random(config.seed + 7919)
-    n_classes = len(LABEL_ORDER)
-    pool = sorted(rng.sample(range(config.num_buckets), 10))
-    examples = []
-    for _ in range(probe_size):
-        k = rng.randint(2, 6)
-        chosen = rng.sample(pool, k)
-        features = {idx: rng.uniform(0.2, 1.0) for idx in chosen}
-        examples.append((features, rng.randrange(n_classes)))
-    weights = np.zeros((n_classes, config.num_buckets))
-    for idx in pool:
-        for c in range(n_classes):
-            weights[c, idx] = rng.uniform(-0.8, 0.8)
-    bias = np.array([rng.uniform(-0.5, 0.5) for _ in range(n_classes)])
-
-    _, grad_w, grad_b = log_loss_and_gradient(weights, bias, examples)
-    analytic = np.concatenate([grad_w[:, pool].ravel(), grad_b])
-
-    numeric = np.zeros_like(analytic)
-    pos = 0
-    for c in range(n_classes):
-        for idx in pool:
-            for sign in (1.0, -1.0):
-                weights[c, idx] += sign * step
-                loss, _, _ = log_loss_and_gradient(weights, bias, examples)
-                numeric[pos] += sign * loss
-                weights[c, idx] -= sign * step
-            numeric[pos] /= 2 * step
-            pos += 1
-    for c in range(n_classes):
-        for sign in (1.0, -1.0):
-            bias[c] += sign * step
-            loss, _, _ = log_loss_and_gradient(weights, bias, examples)
-            numeric[pos] += sign * loss
-            bias[c] -= sign * step
-        numeric[pos] /= 2 * step
-        pos += 1
-
-    # analytic fills grad_w row-major (class, bucket); numeric filled the
-    # same way above, so the two vectors are aligned
-    return analytic, numeric
-
-
-def max_relative_error(a: np.ndarray, b: np.ndarray) -> float:
-    """Coordinate-wise |a-b| / max(1, |a|, |b|); the unit floor keeps tiny
-    gradients from inflating the ratio."""
-    denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-    return float(np.max(np.abs(a - b) / denom))
-
-
-def gradient_check(config: TrainConfig = TrainConfig(), probe_size: int = 5) -> float:
-    analytic, numeric = _probe_gradients(config, probe_size)
-    return max_relative_error(analytic, numeric)
 
 
 # -- serialization: one JSON container, exact round-trip --

@@ -71,7 +71,6 @@ class QidMatch:
     question: Turn
     answer: Optional[Turn]  # next turn in the same dialogue, when it exists
     mode: str
-    has_direct_answer: bool
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,6 @@ class QidStats:
     total_turns: int
     match_count: int
     precision_sample: tuple[QidMatch, ...]
-    sample_seed: int
 
 
 def is_yes_no_question_relaxed(turn: Turn) -> bool:
@@ -152,12 +150,9 @@ def scan_corpus(
             else:
                 if not is_yes_no_question_relaxed(turn):
                     continue
-            direct = next_turn is not None and has_direct_answer(next_turn)
-            if mode == "strict" and not direct:
+            if mode == "strict" and (next_turn is None or not has_direct_answer(next_turn)):
                 continue
-            matches.append(
-                QidMatch(question=turn, answer=next_turn, mode=mode, has_direct_answer=direct)
-            )
+            matches.append(QidMatch(question=turn, answer=next_turn, mode=mode))
 
     k = min(sample_size, len(matches))
     sample = tuple(random.Random(seed).sample(matches, k))
@@ -165,7 +160,6 @@ def scan_corpus(
         total_turns=corpus.total_turns,
         match_count=len(matches),
         precision_sample=sample,
-        sample_seed=seed,
     )
     return matches, stats
 
@@ -185,11 +179,7 @@ def write_matches(matches: list[QidMatch], path: Union[str, Path]) -> None:
 
 
 def load_matches(path: Union[str, Path], corpus: Corpus) -> list[QidMatch]:
-    """Resolve a matches JSONL file back against its corpus.
-
-    has_direct_answer is recomputed for non-strict matches (it is implied
-    true for strict ones).
-    """
+    """Resolve a matches JSONL file back against its corpus."""
     index = corpus.turn_index()
 
     def turn(turn_id, role: str, where: str) -> Turn:
@@ -203,11 +193,7 @@ def load_matches(path: Union[str, Path], corpus: Corpus) -> list[QidMatch]:
         answer = None
         if obj.get("answer_turn_id") is not None:
             answer = turn(obj["answer_turn_id"], "answer", where)
-        mode = obj.get("mode", "relaxed")
-        direct = mode == "strict" or (answer is not None and has_direct_answer(answer))
-        matches.append(
-            QidMatch(question=question, answer=answer, mode=mode, has_direct_answer=direct)
-        )
+        matches.append(QidMatch(question=question, answer=answer, mode=obj.get("mode", "relaxed")))
     return matches
 
 

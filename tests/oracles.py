@@ -5,15 +5,18 @@ Written as plain loops, independent of the package code paths they check.
 
 import hashlib
 import json
+import math
+import random
 import unicodedata
 from pathlib import Path
 
 import numpy as np
 
+from ynkit.blend import EpochDataset, TrainingPlan
 from ynkit.corpus import LABEL_ORDER, Corpus, Dialogue, Turn, split_sentences, tokenize
-from ynkit.distant import instance_to_dict
+from ynkit.distant import QAInstance, instance_to_dict
 from ynkit.errors import CorpusFormatError
-from ynkit.model import FIELD_PREFIXES, fnv1a_64
+from ynkit.model import FIELD_PREFIXES, LinearModel, fnv1a_64, train
 from ynkit.qid import (
     ANSWER_SENTENCE_WINDOW,
     AUXILIARY_VERBS,
@@ -94,14 +97,19 @@ def naive_featurize(instance, config):
     return counts
 
 
+def _as_arrays(features):
+    """A bucket -> value map as (indices, values) arrays, in bucket order."""
+    buckets = sorted(features)
+    indices = np.array(buckets, dtype=np.int64)
+    values = np.array([features[b] for b in buckets], dtype=np.float64)
+    return indices, values
+
+
 def naive_predict(model, instance):
     """(label, probabilities) of one instance scored alone: the sorted
     oracle features, one gathered dot product, bias, softmax and the first
     argmax."""
-    features = naive_featurize(instance, model.feature_config)
-    buckets = sorted(features)
-    indices = np.array(buckets, dtype=np.int64)
-    values = np.array([features[b] for b in buckets], dtype=np.float64)
+    indices, values = _as_arrays(naive_featurize(instance, model.feature_config))
     if len(indices) == 0:
         scores = model.bias.copy()
     else:
@@ -110,6 +118,80 @@ def naive_predict(model, instance):
     exp = np.exp(shifted)
     probs = exp / exp.sum()
     return model.class_labels[int(np.argmax(probs))], probs
+
+
+# -- the update train applies, against finite differences of the log-loss --
+
+_PROBE_WORDS = ("yes", "no", "maybe", "sure", "never", "guess", "think", "so", "not", "really", "well", "okay")
+
+
+def _probe_rows(size, seed):
+    """size labeled instances whose answers are 2 to 6 words, seeded."""
+    rng = random.Random(seed)
+    return [
+        QAInstance(
+            context=(),
+            question="Is it?",
+            answer=" ".join(rng.choices(_PROBE_WORDS, k=rng.randint(2, 6))),
+            label=rng.choice(LABEL_ORDER),
+            source="gold",
+            origin_ids=("probe", f"q{i}", f"a{i}"),
+        )
+        for i in range(size)
+    ]
+
+
+def _central_difference(params, where, loss, step):
+    saved = params[where]
+    params[where] = saved + step
+    up = loss()
+    params[where] = saved - step
+    down = loss()
+    params[where] = saved
+    return (up - down) / (2 * step)
+
+
+def train_step_gradients(config, probe_size, seed=0, step=1e-5):
+    """Each probe row's log-loss gradient as train applies it, and by
+    central finite differences, as two flat vectors, row after row.
+
+    train runs one epoch over rows[:k] and one over rows[:k + 1]; their
+    weights W_k and W_k+1 give row k's gradient at W_k as
+    ((1 - lr * l2) * W_k - W_k+1) / lr, the bias's as (b_k - b_k+1) / lr.
+    The finite differences of -log p[label] come from naive_predict at W_k,
+    over every bucket the row touches, in every class, and the bias; every
+    other weight's gradient is 0, so a weight train moves without cause
+    counts as an error too.
+    """
+    rows = _probe_rows(probe_size, seed)
+    lr, decay = config.learning_rate, 1.0 - config.learning_rate * config.l2
+    classes = len(LABEL_ORDER)
+    before = LinearModel(LABEL_ORDER, np.zeros((classes, config.num_buckets)), np.zeros(classes), config)
+    applied, numeric = [], []
+    for k, row in enumerate(rows):
+        epoch = EpochDataset(gold_count=k + 1, instances=tuple(rows[: k + 1]))
+        after = train(TrainingPlan(epochs=(epoch,), strategy="gold_only", provenance={}), config)
+        target = LABEL_ORDER.index(row.label)
+
+        def loss():
+            return -math.log(naive_predict(before, row)[1][target])
+
+        fd_weights = np.zeros_like(before.weights)
+        for bucket in naive_featurize(row, config):
+            for c in range(classes):
+                fd_weights[c, bucket] = _central_difference(before.weights, (c, bucket), loss, step)
+        fd_bias = [_central_difference(before.bias, c, loss, step) for c in range(classes)]
+        applied += [((decay * before.weights - after.weights) / lr).ravel(), (before.bias - after.bias) / lr]
+        numeric += [fd_weights.ravel(), fd_bias]
+        before = after
+    return np.concatenate(applied), np.concatenate(numeric)
+
+
+def max_relative_error(a, b):
+    """The largest coordinate-wise |a - b| / max(1, |a|, |b|); the unit
+    floor keeps tiny gradients from inflating the ratio."""
+    denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    return float(np.max(np.abs(a - b) / denom))
 
 
 # -- corpus loading: one dict per line, one check at a time --
@@ -278,7 +360,7 @@ def naive_scan_corpus(corpus, mode):
             )
             if mode == "strict" and not direct:
                 continue
-            matches.append(QidMatch(question=turn, answer=answer, mode=mode, has_direct_answer=direct))
+            matches.append(QidMatch(question=turn, answer=answer, mode=mode))
     return matches
 
 

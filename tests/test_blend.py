@@ -57,7 +57,7 @@ def test_merged_plan_sizes():
 def test_merged_plan_with_cap():
     plan = build_merged_plan(GOLD[:10], DISTANT[:20], epochs=2, seed=0, distant_cap=5)
     assert [len(e.instances) for e in plan.epochs] == [15, 15]
-    assert [e.distant_count for e in plan.epochs] == [5, 5]
+    assert [len(e.instances) - e.gold_count for e in plan.epochs] == [5, 5]
     # the cap subsample is drawn once: same distant multiset in both epochs
     first = {i.origin_ids for i in plan.epochs[0].instances if i.source == "distant"}
     second = {i.origin_ids for i in plan.epochs[1].instances if i.source == "distant"}
@@ -286,6 +286,7 @@ def test_load_plan_epoch_row_count_checked(tmp_path):
         '{"epoch_sizes": [10, 10, 10], "gold_counts": [-5, 6, 6]}',
         '{"epoch_sizes": [10, 10, 10], "gold_counts": [6, 11, 6]}',
         '{"epoch_sizes": [10, 10, 10], "gold_counts": [true, 6, 6]}',
+        '{"epoch_sizes": [10, 10, 10]}',
     ],
 )
 def test_load_plan_bad_manifest(tmp_path, manifest):

@@ -171,6 +171,33 @@ def test_config_file_keys_of_other_subcommands_are_valid(fixture_corpus_path, tm
     assert rc == 0
 
 
+@pytest.mark.parametrize(
+    "command, line, needle",
+    [
+        ("plan", "strategy = blend", "strategy: invalid choice: 'blend' (choose from merged, blended)"),
+        ("train", "lr = true", "lr: invalid float value: 'true'"),
+        ("evaluate", "unmapped = drop", "unmapped: invalid choice: 'drop' (choose from exclude, wrong)"),
+        ("plan", "epochs = 2.0", "epochs: invalid int value: '2.0'"),
+        ("identify", "sample = 2.5", "sample: invalid int value: '2.5'"),
+        ("distill", "balance = 1", "balance: invalid value: '1' (choose from true, false)"),
+    ],
+)
+def test_config_file_value_gets_the_flags_own_checks(command, line, needle, step_inputs, tmp_path, capsys):
+    out, config = tmp_path / "out", tmp_path / "run.conf"
+    config.write_text(line + "\n", encoding="utf-8")
+    rc = main([command, *step_inputs[command], "--config", str(config), "--out", str(out)])
+    _assert_one_line_error(rc, capsys.readouterr().err, f"error: {config}: {needle}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, balanced", [("false", False), ("TRUE", True)])
+def test_config_file_sets_an_on_off_flag(value, balanced, step_inputs, tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text(f"balance = {value}\n", encoding="utf-8")
+    assert main(["distill", *step_inputs["distill"], "--config", str(config), "--out", str(tmp_path / "d")]) == 0
+    assert json.loads(capsys.readouterr().out)["balanced"] is balanced
+
+
 def test_config_file_missing(tmp_path, capsys):
     rc = main(
         ["identify", "--corpus", "x.jsonl", "--config", str(tmp_path / "nope.conf"),
@@ -380,6 +407,21 @@ def trained_pipeline(fixture_corpus_path, tmp_path_factory):
     return _run_pipeline(fixture_corpus_path, tmp_path_factory.mktemp("pipeline"))
 
 
+@pytest.fixture(scope="module")
+def step_inputs(trained_pipeline, fixture_corpus_path, data_dir):
+    """Each subcommand's input flags, on the trained pipeline's files."""
+    run = trained_pipeline
+    return {
+        "identify": ["--corpus", str(fixture_corpus_path)],
+        "distill": ["--corpus", str(fixture_corpus_path), "--matches", str(run["matches"])],
+        "plan": ["--gold", str(run["distant"]), "--distant", str(run["distant"])],
+        "train": ["--plan", str(run["plandir"])],
+        "evaluate": ["--gold", str(run["distant"]), "--pred", str(run["preds"])],
+        "probe": ["--in", str(data_dir / "probe_demo.jsonl"), "--shot-examples", str(run["distant"]),
+                  "--store", str(data_dir / "replay_store.json")],
+    }
+
+
 def _assert_one_line_error(rc, err, needle):
     assert rc == 1
     assert "Traceback" not in err
@@ -427,6 +469,7 @@ _BAD_NUMBERS = [
     ("train", ["--l2", "nan"], "l2 must be finite and non-negative, got nan"),
     ("train", ["--lr", "inf"], "learning_rate must be finite and positive, got inf"),
     ("train", ["--buckets", "3"], "num_buckets must be a power of two >= 2"),
+    ("train", ["--buckets", str(2**62)], f"num_buckets {2**62} cannot be allocated"),
     ("plan", ["--cap", "0"], "distant_cap must be > 0, got 0"),
     ("plan", ["--cap", "-5"], "distant_cap must be > 0, got -5"),
     ("plan", ["--epochs", "0"], "epochs must be >= 1, got 0"),
@@ -459,19 +502,9 @@ def test_every_numeric_flag_has_a_bad_value_case_or_a_reason():
 
 
 @pytest.mark.parametrize("command, flags, needle", _BAD_NUMBERS, ids=[" ".join(c[1]) for c in _BAD_NUMBERS])
-def test_bad_numeric_flag_is_one_error_line(
-    command, flags, needle, trained_pipeline, fixture_corpus_path, data_dir, tmp_path, capsys
-):
-    run, out = trained_pipeline, str(tmp_path / "out")
-    inputs = {
-        "identify": ["--corpus", str(fixture_corpus_path)],
-        "distill": ["--corpus", str(fixture_corpus_path), "--matches", str(run["matches"])],
-        "plan": ["--gold", str(run["distant"]), "--distant", str(run["distant"])],
-        "train": ["--plan", str(run["plandir"])],
-        "probe": ["--in", str(data_dir / "probe_demo.jsonl"), "--shot-examples", str(run["distant"]),
-                  "--store", str(data_dir / "replay_store.json")],
-    }
-    rc = main([command, *inputs[command], *flags, "--out", out])
+def test_bad_numeric_flag_is_one_error_line(command, flags, needle, step_inputs, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    rc = main([command, *step_inputs[command], *flags, "--out", out])
     _assert_one_line_error(rc, capsys.readouterr().err, needle)
     assert not Path(out).exists()
 

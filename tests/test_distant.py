@@ -79,7 +79,7 @@ def test_extract_context_window(fixture_corpus):
 
 def test_extract_requires_answer_turn(fixture_corpus):
     question = fixture_corpus.dialogues[0].turns[1]
-    bad = QidMatch(question=question, answer=None, mode="relaxed", has_direct_answer=False)
+    bad = QidMatch(question=question, answer=None, mode="relaxed")
     with pytest.raises(MalformedMatchError, match="d01-t1"):
         extract_distant_instances(fixture_corpus, [bad])
 
@@ -88,12 +88,7 @@ def test_extract_drops_unlabelable_answers(fixture_corpus):
     # d04-t3 -> "Sure, a little." labels Yes; d02-t3 -> "Well. Maybe. Yes." is
     # not even a strict match, so craft a match whose answer is ambiguous
     index = fixture_corpus.turn_index()
-    match = QidMatch(
-        question=index["d02-t3"],
-        answer=index["d02-t4"],
-        mode="relaxed",
-        has_direct_answer=False,
-    )
+    match = QidMatch(question=index["d02-t3"], answer=index["d02-t4"], mode="relaxed")
     assert extract_distant_instances(fixture_corpus, [match]) == []
 
 

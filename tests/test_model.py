@@ -23,15 +23,11 @@ from ynkit.model import (
     FIELD_PREFIXES,
     LinearModel,
     TrainConfig,
-    _as_arrays,
     _csr_proba,
-    _probe_gradients,
     featurize,
     featurize_many,
     fnv1a_64,
-    gradient_check,
     load_model,
-    max_relative_error,
     predict,
     predict_proba,
     save_model,
@@ -39,7 +35,7 @@ from ynkit.model import (
 )
 from ynkit.synth import SynthConfig, make_gold_instances, make_test_instances
 
-from oracles import naive_featurize, naive_predict
+from oracles import _as_arrays, max_relative_error, naive_featurize, naive_predict, train_step_gradients
 
 
 def _inst(question, answer, label, i=0, context=()):
@@ -295,7 +291,7 @@ def _toy_separable(per_class=10):
 def test_training_fits_separable_toy_set():
     instances = _toy_separable()
     plan = build_gold_plan(instances, epochs=5, seed=0)
-    model = train(plan, TrainConfig(seed=0))
+    model = train(plan, TrainConfig())
     correct = sum(predict(model, inst)[0] is inst.label for inst in instances)
     assert correct == len(instances)
 
@@ -303,7 +299,7 @@ def test_training_fits_separable_toy_set():
 def test_training_bitwise_deterministic():
     instances = _toy_separable()
     plan = build_merged_plan(instances, [], epochs=3, seed=1)
-    config = TrainConfig(seed=1)
+    config = TrainConfig()
     a = train(plan, config)
     b = train(plan, config)
     assert np.array_equal(a.weights, b.weights)
@@ -396,18 +392,16 @@ def test_l2_keeps_weights_bounded():
     assert norm < 1.0 / 1e-3
 
 
+_PROBE_CONFIG = TrainConfig(num_buckets=2**6, ngram_orders=(1,), fields_used=("answer",))
+
+
 def test_gradient_check_passes():
-    assert gradient_check(TrainConfig(seed=3), probe_size=5) < 1e-4
+    assert max_relative_error(*train_step_gradients(_PROBE_CONFIG, probe_size=5, seed=3)) < 1e-4
 
 
 def test_gradient_check_detects_sign_flip():
-    analytic, numeric = _probe_gradients(TrainConfig(seed=3), probe_size=5)
-    assert max_relative_error(-analytic, numeric) > 1e-1
-
-
-def test_gradient_check_probe_size_validated():
-    with pytest.raises(InvalidConfigError):
-        gradient_check(TrainConfig(), probe_size=0)
+    applied, numeric = train_step_gradients(_PROBE_CONFIG, probe_size=5, seed=3)
+    assert max_relative_error(-applied, numeric) > 1e-1
 
 
 def test_model_serialization_round_trip(tmp_path):
@@ -424,6 +418,11 @@ def test_model_serialization_round_trip(tmp_path):
     path2 = tmp_path / "model2.json"
     save_model(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+    # a model file whose config still carries the old "seed" entry loads as before
+    payload = json.loads(path.read_text())
+    payload["config"]["seed"] = 5
+    path.write_text(json.dumps(payload))
+    assert load_model(path).feature_config == model.feature_config
 
 
 def test_load_model_rejects_other_files(tmp_path):
@@ -502,7 +501,7 @@ def _blended_plan():
     return build_blended_plan(gold, distant, BlendConfig(alpha=0.5, m=3, n=1, seed=2))
 
 
-_PLAN_CONFIG = TrainConfig(num_buckets=2**12, fields_used=("question", "answer"), seed=2)
+_PLAN_CONFIG = TrainConfig(num_buckets=2**12, fields_used=("question", "answer"))
 
 
 def _weights_digest(model):
