@@ -13,7 +13,8 @@ import argparse
 import sys
 import time
 
-from ynkit.blend import BlendConfig, build_blended_plan, build_gold_plan, build_merged_plan
+from ynkit.blend import build_blended_plan, build_gold_plan, build_merged_plan
+from ynkit.corpus import LABEL_ORDER
 from ynkit.distant import balance_dataset, extract_distant_instances
 from ynkit.evaluation import score
 from ynkit.model import TrainConfig, predict_proba, train
@@ -35,16 +36,14 @@ def run_seed(seed: int):
         "capped": build_merged_plan(
             bundle.gold, distant, EPOCHS, seed, distant_cap=len(bundle.gold)
         ),
-        "blended": build_blended_plan(
-            bundle.gold, distant, BlendConfig(seed=seed, **BLEND)
-        ),
+        "blended": build_blended_plan(bundle.gold, distant, seed=seed, **BLEND),
     }
     gold_labels = [inst.label for inst in bundle.test]
     scores = {}
     for name, plan in plans.items():
         model = train(plan, train_config)
         winners = predict_proba(model, bundle.test).argmax(axis=1).tolist()
-        preds = [model.class_labels[i] for i in winners]
+        preds = [LABEL_ORDER[i] for i in winners]
         scores[name] = score(gold_labels, preds).macro_f1
     return scores
 

@@ -1,6 +1,8 @@
 """Training curricula: gold-only, merged, and blended plans.
 
-A blended plan runs m blending epochs in which the gold fraction decays
+A plan is its epochs plus a provenance dict, which names the strategy and
+the arguments that built it and becomes the exported plan.json. A blended
+plan runs m blending epochs in which the gold fraction decays
 geometrically, f_i = alpha^(i-1) in epoch i, the paper's only schedule,
 while every epoch carries all distant instances, followed by n epochs of
 distant instances only. The gold subset is redrawn fresh each blending
@@ -22,23 +24,6 @@ from .errors import EmptyPlanError, InvalidConfigError
 
 
 @dataclass(frozen=True)
-class BlendConfig:
-    alpha: float
-    m: int  # blending epochs
-    n: int  # pure distant epochs
-    seed: int
-    distant_cap: Optional[int] = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise InvalidConfigError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.m < 1:
-            raise InvalidConfigError(f"m must be >= 1, got {self.m}")
-        if self.n < 0:
-            raise InvalidConfigError(f"n must be >= 0, got {self.n}")
-
-
-@dataclass(frozen=True)
 class EpochDataset:
     gold_count: int  # the other len(instances) - gold_count are distant
     instances: tuple[QAInstance, ...]
@@ -47,11 +32,7 @@ class EpochDataset:
 @dataclass(frozen=True)
 class TrainingPlan:
     epochs: tuple[EpochDataset, ...]
-    strategy: str
-    provenance: dict
-
-    def __len__(self) -> int:
-        return len(self.epochs)
+    provenance: dict  # "strategy" and the build arguments, as in plan.json
 
 
 def round_half_away_from_zero(x: float) -> int:
@@ -111,7 +92,7 @@ def build_merged_plan(
         "seed": seed,
         "cap": distant_cap,
     }
-    return TrainingPlan(epochs=plan_epochs, strategy=strategy, provenance=provenance)
+    return TrainingPlan(epochs=plan_epochs, provenance=provenance)
 
 
 def build_gold_plan(gold: Sequence[QAInstance], epochs: int, seed: int) -> TrainingPlan:
@@ -122,32 +103,42 @@ def build_gold_plan(gold: Sequence[QAInstance], epochs: int, seed: int) -> Train
 def build_blended_plan(
     gold: Sequence[QAInstance],
     distant: Sequence[QAInstance],
-    config: BlendConfig,
+    alpha: float,
+    m: int,
+    n: int,
+    seed: int,
+    distant_cap: Optional[int] = None,
 ) -> TrainingPlan:
     """m blending epochs with decaying gold fractions, then n distant-only
     epochs. Epoch 1 always contains every gold instance."""
+    if not 0.0 <= alpha <= 1.0:
+        raise InvalidConfigError(f"alpha must be in [0, 1], got {alpha}")
+    if m < 1:
+        raise InvalidConfigError(f"m must be >= 1, got {m}")
+    if n < 0:
+        raise InvalidConfigError(f"n must be >= 0, got {n}")
     if not gold or not distant:
         raise InvalidConfigError("blended plan needs non-empty gold and distant pools")
-    capped = _apply_cap(distant, config.distant_cap, config.seed)
+    capped = _apply_cap(distant, distant_cap, seed)
     plan_epochs = []
-    for i in range(1, config.m + 1):
-        fraction = gold_fraction(config.alpha, i)
+    for i in range(1, m + 1):
+        fraction = gold_fraction(alpha, i)
         count = min(len(gold), round_half_away_from_zero(fraction * len(gold)))
-        subset = _rng(config.seed, "gold", i).sample(list(gold), count)
-        plan_epochs.append(_epoch(subset, list(capped), config.seed, i))
-    for i in range(config.m + 1, config.m + config.n + 1):
-        plan_epochs.append(_epoch([], list(capped), config.seed, i))
+        subset = _rng(seed, "gold", i).sample(list(gold), count)
+        plan_epochs.append(_epoch(subset, list(capped), seed, i))
+    for i in range(m + 1, m + n + 1):
+        plan_epochs.append(_epoch([], list(capped), seed, i))
     provenance = {
         "strategy": "blended",
-        "alpha": config.alpha,
-        "m": config.m,
-        "n": config.n,
-        "epochs": config.m + config.n,
-        "seed": config.seed,
-        "cap": config.distant_cap,
+        "alpha": alpha,
+        "m": m,
+        "n": n,
+        "epochs": m + n,
+        "seed": seed,
+        "cap": distant_cap,
         "schedule": "geometric",
     }
-    return TrainingPlan(epochs=tuple(plan_epochs), strategy="blended", provenance=provenance)
+    return TrainingPlan(epochs=tuple(plan_epochs), provenance=provenance)
 
 
 def export_plan(plan: TrainingPlan, directory: Union[str, Path]) -> list[Path]:
@@ -226,6 +217,5 @@ def load_plan(directory: Union[str, Path]) -> TrainingPlan:
                 f"got {gold_count!r}"
             )
         epochs.append(EpochDataset(gold_count=gold_count, instances=instances))
-    strategy = manifest.get("strategy", "merged")
-    return TrainingPlan(epochs=tuple(epochs), strategy=strategy, provenance=manifest)
+    return TrainingPlan(epochs=tuple(epochs), provenance=manifest)
 

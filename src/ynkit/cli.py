@@ -10,16 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import distant, qid
-from .corpus import Label, _require, iter_jsonl, load_corpus, parse_label
+from .corpus import LABEL_ORDER, Label, _require, iter_jsonl, load_corpus, parse_label
 from .errors import CorpusFormatError, InvalidConfigError, UnmappedLabelError, YnkitError
-
-log = logging.getLogger("ynkit")
 
 DEFAULT_SEED = 1729  # fixed so bare runs are reproducible; override with --seed
 
@@ -64,7 +61,7 @@ def _config_defaults(path: str, values: dict[str, str], parser: argparse.Argumen
                 raise YnkitError(f"{path}: {action.dest}: invalid value: {text!r} (choose from true, false)")
             defaults[action.dest] = text.lower() == "true"
             continue
-        convert = int if isinstance(action, argparse._CountAction) else action.type or str
+        convert = action.type or str
         try:
             value = convert(text)
         except ValueError:
@@ -80,16 +77,6 @@ def _config_defaults(path: str, values: dict[str, str], parser: argparse.Argumen
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("-v", "--verbose", action="count", default=0)
-
-
-def _setup_logging(verbosity: int) -> None:
-    level = logging.WARNING
-    if verbosity == 1:
-        level = logging.INFO
-    elif verbosity >= 2:
-        level = logging.DEBUG
-    logging.basicConfig(level=level, stream=sys.stderr, format="%(levelname)s %(message)s")
 
 
 def _log_effective(args: argparse.Namespace) -> None:
@@ -106,7 +93,6 @@ def _cmd_identify(args) -> int:
     qid.write_matches(matches, args.out)
     if args.audit:
         qid.write_audit_sample(stats, args.audit)
-    log.info("scanned %d turns, %d matches", stats.total_turns, stats.match_count)
     print(
         json.dumps(
             {
@@ -127,7 +113,6 @@ def _cmd_distill(args) -> int:
     if args.balance:
         instances = distant.balance_dataset(instances, seed=args.seed)
     distant.write_instances(instances, args.out)
-    log.info("extracted %d distant instances", len(instances))
     print(json.dumps({"instances": len(instances), "balanced": bool(args.balance)}))
     return 0
 
@@ -138,22 +123,16 @@ def _cmd_plan(args) -> int:
     gold = distant.read_instances(args.gold) if args.gold else []
     distant_pool = distant.read_instances(args.distant) if args.distant else []
     if args.strategy == "blended":
-        config = blend.BlendConfig(
-            alpha=args.alpha,
-            m=args.m,
-            n=args.n,
-            seed=args.seed,
-            distant_cap=args.cap,
+        plan = blend.build_blended_plan(
+            gold, distant_pool, alpha=args.alpha, m=args.m, n=args.n, seed=args.seed, distant_cap=args.cap
         )
-        plan = blend.build_blended_plan(gold, distant_pool, config)
     else:
         plan = blend.build_merged_plan(
             gold, distant_pool, epochs=args.epochs, seed=args.seed, distant_cap=args.cap
         )
     blend.export_plan(plan, args.out)
     sizes = [len(e.instances) for e in plan.epochs]
-    log.info("exported %d epochs to %s", len(plan.epochs), args.out)
-    print(json.dumps({"strategy": plan.strategy, "epoch_sizes": sizes}))
+    print(json.dumps({"strategy": plan.provenance["strategy"], "epoch_sizes": sizes}))
     return 0
 
 
@@ -179,7 +158,6 @@ def _cmd_train(args) -> int:
     plan = blend.load_plan(args.plan)
     trained = model.train(plan, config)
     model.save_model(trained, args.out)
-    log.info("trained on %d epochs, wrote %s", len(plan.epochs), args.out)
     print(json.dumps({"epochs": len(plan.epochs), "model": str(args.out)}))
     return 0
 
@@ -189,7 +167,7 @@ def _prediction_lines(trained, instances) -> str:
     from . import model
 
     probs = model.predict_proba(trained, instances)
-    names = [label.value for label in trained.class_labels]
+    names = [label.value for label in LABEL_ORDER]
     lines = []
     for inst, row, winner in zip(instances, probs.tolist(), probs.argmax(axis=1).tolist()):
         record = {
@@ -415,7 +393,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser, _ = build_parser(next((a for a in argv if not a.startswith("-")), None))
     else:
         parser, registry = build_parser()  # a key may be any subcommand's
-        known_keys = {a.dest for p in registry.values() for a in p._actions}
+        known_keys = {
+            a.dest for p in registry.values() for a in p._actions if not isinstance(a, argparse._HelpAction)
+        }
         try:
             file_values = _read_config_file(known.config, known_keys)
             for sub_parser in registry.values():
@@ -428,7 +408,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 1
 
     args = parser.parse_args(argv)
-    _setup_logging(args.verbose)
     _log_effective(args)
     try:
         return args.func(args)

@@ -37,7 +37,7 @@ class Label(str, enum.Enum):
         return self.value
 
 
-LABEL_ORDER = (Label.YES, Label.NO, Label.MIDDLE)
+LABEL_ORDER = tuple(Label)  # the order of every model's weight rows and probabilities
 
 
 # a dict lookup costs a fifth of Label(value)'s Enum.__call__

@@ -19,23 +19,12 @@ from .errors import AlignmentError, DegenerateMarginalsError
 
 
 @dataclass(frozen=True)
-class ConfusionMatrix:
-    labels: tuple[Label, ...]
-    counts: tuple[tuple[int, ...], ...]  # counts[gold][predicted]
-
-    @property
-    def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
-
-
-@dataclass(frozen=True)
 class EvalReport:
     per_label: dict[Label, tuple[float, float, float]]  # (precision, recall, f1)
     macro_f1: float
     weighted_f1: float
     accuracy: float
     n: int
-    confusion: ConfusionMatrix
 
     def to_dict(self) -> dict:
         return {
@@ -131,15 +120,14 @@ def align_for_scoring(
     return kept_gold, kept_pred, excluded
 
 
-def confusion_matrix(gold: Sequence[Label], predicted: Sequence[Label]) -> ConfusionMatrix:
+def confusion_matrix(gold: Sequence[Label], predicted: Sequence[Label]) -> list[list[int]]:
+    """counts[gold][predicted], rows and columns in LABEL_ORDER."""
     _check_aligned(gold, predicted)
     index = {label: i for i, label in enumerate(LABEL_ORDER)}
     counts = [[0] * len(LABEL_ORDER) for _ in LABEL_ORDER]
     for g, p in zip(gold, predicted):
         counts[index[g]][index[p]] += 1
-    return ConfusionMatrix(
-        labels=LABEL_ORDER, counts=tuple(tuple(row) for row in counts)
-    )
+    return counts
 
 
 def score(gold: Sequence[Label], predicted: Sequence[Label]) -> EvalReport:
@@ -149,28 +137,27 @@ def score(gold: Sequence[Label], predicted: Sequence[Label]) -> EvalReport:
     predictions scores F1 0 and still counts in the three-label average.
     """
     n = _check_aligned(gold, predicted)
-    cm = confusion_matrix(gold, predicted)
+    counts = confusion_matrix(gold, predicted)
     per_label: dict[Label, tuple[float, float, float]] = {}
     f1s = []
     weighted = 0.0
-    for i, label in enumerate(cm.labels):
-        tp = cm.counts[i][i]
-        gold_count = sum(cm.counts[i])
-        pred_count = sum(row[i] for row in cm.counts)
+    for i, label in enumerate(LABEL_ORDER):
+        tp = counts[i][i]
+        gold_count = sum(counts[i])
+        pred_count = sum(row[i] for row in counts)
         precision = tp / pred_count if pred_count else 0.0
         recall = tp / gold_count if gold_count else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
         per_label[label] = (precision, recall, f1)
         f1s.append(f1)
         weighted += gold_count * f1
-    accuracy = sum(cm.counts[i][i] for i in range(len(cm.labels))) / n
+    accuracy = sum(counts[i][i] for i in range(len(LABEL_ORDER))) / n
     return EvalReport(
         per_label=per_label,
         macro_f1=sum(f1s) / len(f1s),
         weighted_f1=weighted / n,
         accuracy=accuracy,
         n=n,
-        confusion=cm,
     )
 
 

@@ -103,13 +103,10 @@ class MappedResponse:
 def map_response(raw: str) -> MappedResponse:
     """Scan lowercased whole tokens for yes/no/middle; exactly one distinct
     candidate maps, zero or several leave the response unmapped."""
-    candidates = {
-        token.lower()
-        for token in tokenize(raw)
-        if token.lower() in ("yes", "no", "middle")
-    }
+    words = {token.lower() for token in tokenize(raw)}
+    candidates = [label for label in Label if label.value in words]
     if len(candidates) == 1:
-        return MappedResponse(raw=raw, label=Label(candidates.pop()))
+        return MappedResponse(raw=raw, label=candidates[0])
     return MappedResponse(raw=raw, label=None)
 
 

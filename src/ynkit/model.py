@@ -1,12 +1,13 @@
 """Deterministic linear classifier over hashed n-gram features.
 
 Features are lowercased token n-grams of the selected instance fields,
-prefixed by field ("q:do_you"), hashed with 64-bit FNV-1a into a
-power-of-two bucket space, count-accumulated, and L2-normalized. Training
-is plain SGD on the multinomial logistic loss with multiplicative L2
-decay, one pass per epoch dataset in plan order; everything is a pure
-function of (plan, config), so retraining reproduces bitwise-identical
-weights.
+each cut to its first MAX_TOKENS_PER_FIELD (512) tokens and prefixed by
+field ("q:do_you"), hashed with 64-bit FNV-1a into a power-of-two bucket
+space, count-accumulated, and L2-normalized. Training is plain SGD on
+the multinomial logistic loss with multiplicative L2 decay, one pass per
+epoch dataset in plan order; everything is a pure function of (plan,
+config), so retraining reproduces bitwise-identical weights. Weight rows,
+bias entries and probability columns follow corpus.LABEL_ORDER.
 
 Featurization runs in batches. `featurize_many` looks up each instance's
 n-gram buckets in Python, then counts, normalizes and sorts the whole
@@ -41,7 +42,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .blend import TrainingPlan
-from .corpus import LABEL_ORDER, Label, lowered_tokens, parse_label
+from .corpus import LABEL_ORDER, Label, lowered_tokens
 from .distant import QAInstance
 from .errors import EmptyPlanError, InvalidConfigError, UnlabeledInstanceError
 
@@ -50,6 +51,8 @@ _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 FIELD_PREFIXES = {"context": "c", "question": "q", "answer": "a"}
+
+MAX_TOKENS_PER_FIELD = 512
 
 
 def fnv1a_64(text: str) -> int:
@@ -67,7 +70,6 @@ class TrainConfig:
     num_buckets: int = 2**18
     ngram_orders: tuple[int, ...] = (1, 2)
     fields_used: tuple[str, ...] = ("context", "question", "answer")
-    max_tokens_per_field: int = 512
 
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -88,10 +90,6 @@ class TrainConfig:
             )
         if len(set(self.ngram_orders)) != len(self.ngram_orders):
             raise InvalidConfigError("ngram_orders must not repeat an order")
-        if type(self.max_tokens_per_field) is not int or self.max_tokens_per_field < 1:
-            raise InvalidConfigError(
-                f"max_tokens_per_field must be an integer >= 1, got {self.max_tokens_per_field!r}"
-            )
 
     def to_dict(self) -> dict:
         return {
@@ -100,18 +98,21 @@ class TrainConfig:
             "num_buckets": self.num_buckets,
             "ngram_orders": list(self.ngram_orders),
             "fields_used": list(self.fields_used),
-            "max_tokens_per_field": self.max_tokens_per_field,
         }
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TrainConfig":
+        # model files written before the cap was fixed record it; one with
+        # another cap would be featurized here unlike in its training
+        cap = obj.get("max_tokens_per_field", MAX_TOKENS_PER_FIELD)
+        if cap != MAX_TOKENS_PER_FIELD:
+            raise InvalidConfigError(f"max_tokens_per_field must be {MAX_TOKENS_PER_FIELD}, got {cap!r}")
         return cls(
             learning_rate=obj["learning_rate"],
             l2=obj["l2"],
             num_buckets=obj["num_buckets"],
             ngram_orders=tuple(obj["ngram_orders"]),
             fields_used=tuple(obj["fields_used"]),
-            max_tokens_per_field=obj.get("max_tokens_per_field", 512),
         )
 
 
@@ -169,7 +170,7 @@ def _ngram_buckets(instance: QAInstance, config: TrainConfig) -> list[int]:
     buckets: list[int] = []
     for field_name, text in zip(config.fields_used, _field_texts(instance, config.fields_used)):
         tokens = lowered_tokens(text)
-        del tokens[config.max_tokens_per_field :]
+        del tokens[MAX_TOKENS_PER_FIELD:]
         for order in orders:
             key = (field_name, order, config.num_buckets)
             table = _NGRAM_TABLES.get(key)
@@ -237,8 +238,7 @@ def featurize_many(
 
 @dataclass
 class LinearModel:
-    class_labels: tuple[Label, ...]
-    weights: np.ndarray  # (classes, feature_config.num_buckets) float64
+    weights: np.ndarray  # (classes, feature_config.num_buckets) float64, rows in LABEL_ORDER
     bias: np.ndarray  # (classes,) float64
     feature_config: TrainConfig
 
@@ -272,8 +272,7 @@ def _csr_proba(model: LinearModel, indptr: np.ndarray, indices: np.ndarray, valu
 def predict(model: LinearModel, instance: QAInstance) -> tuple[Label, dict[Label, float]]:
     """Argmax label and per-class probabilities; ties break by class order."""
     probs = predict_proba(model, [instance])[0]
-    winner = model.class_labels[int(np.argmax(probs))]
-    return winner, dict(zip(model.class_labels, probs.tolist()))
+    return LABEL_ORDER[int(np.argmax(probs))], dict(zip(LABEL_ORDER, probs.tolist()))
 
 
 def train(plan: TrainingPlan, config: TrainConfig = TrainConfig()) -> LinearModel:
@@ -287,13 +286,12 @@ def train(plan: TrainingPlan, config: TrainConfig = TrainConfig()) -> LinearMode
     """
     if not plan.epochs or all(len(e.instances) == 0 for e in plan.epochs):
         raise EmptyPlanError("training plan contains no instances")
-    labels = LABEL_ORDER
-    label_index = {label: i for i, label in enumerate(labels)}
+    label_index = {label: i for i, label in enumerate(LABEL_ORDER)}
     try:
-        stored = np.zeros((config.num_buckets, len(labels)), dtype=np.float64)
+        stored = np.zeros((config.num_buckets, len(LABEL_ORDER)), dtype=np.float64)
     except (ValueError, MemoryError) as exc:  # num_buckets too large to allocate
         raise InvalidConfigError(f"num_buckets {config.num_buckets} cannot be allocated: {exc}") from None
-    bias = np.zeros(len(labels), dtype=np.float64)
+    bias = np.zeros(len(LABEL_ORDER), dtype=np.float64)
     scale = 1.0
     decay = 1.0 - config.learning_rate * config.l2
     lr = config.learning_rate
@@ -344,7 +342,6 @@ def train(plan: TrainingPlan, config: TrainConfig = TrainConfig()) -> LinearMode
             bias -= lr * probs
 
     return LinearModel(
-        class_labels=labels,
         weights=np.ascontiguousarray((stored * scale).T),
         bias=bias,
         feature_config=config,
@@ -354,10 +351,12 @@ def train(plan: TrainingPlan, config: TrainConfig = TrainConfig()) -> LinearMode
 # -- serialization: one JSON container, exact round-trip --
 #
 # Only the weight columns with a set bit are stored (columns_b64 lists
-# them in increasing order); every other column loads as zeros.
+# them in increasing order); every other column loads as zeros. The file
+# also records the label order, which must be LABEL_ORDER's.
 
 _FORMAT = "ynkit-linear-model"
 _VERSION = 2
+_CLASS_LABELS = [label.value for label in LABEL_ORDER]
 
 
 def _b64(array: np.ndarray, dtype: str) -> str:
@@ -375,7 +374,7 @@ def save_model(model: LinearModel, path: Union[str, Path]) -> None:
         "format": _FORMAT,
         "version": _VERSION,
         "config": model.feature_config.to_dict(),
-        "class_labels": [label.value for label in model.class_labels],
+        "class_labels": _CLASS_LABELS,
         "bias_b64": _b64(model.bias, "<f8"),
         "columns_b64": _b64(columns, "<i8"),
         "weights_b64": _b64(weights[:, columns], "<f8"),
@@ -396,24 +395,20 @@ def load_model(path: Union[str, Path]) -> LinearModel:
         raise InvalidConfigError(f"{path}: not a {_FORMAT} v{_VERSION} file")
     try:
         config = TrainConfig.from_dict(payload["config"])
-        labels = tuple(parse_label(v) for v in payload["class_labels"])
+        if payload["class_labels"] != _CLASS_LABELS:
+            raise ValueError(f"class_labels must be {_CLASS_LABELS}, got {payload['class_labels']!r}")
         bias = _unb64(payload["bias_b64"], "<f8").astype(np.float64)
         columns = _unb64(payload["columns_b64"], "<i8")
-        values = _unb64(payload["weights_b64"], "<f8").reshape(len(labels), len(columns))
+        values = _unb64(payload["weights_b64"], "<f8").reshape(len(LABEL_ORDER), len(columns))
     except (KeyError, TypeError, ValueError, InvalidConfigError) as exc:
         raise InvalidConfigError(f"{path}: damaged {_FORMAT} file: {exc!r}") from None
-    if bias.shape != (len(labels),) or np.any(np.diff(columns) <= 0) or (
+    if bias.shape != (len(LABEL_ORDER),) or np.any(np.diff(columns) <= 0) or (
         len(columns) and not 0 <= columns[0] <= columns[-1] < config.num_buckets
     ):
         raise InvalidConfigError(f"{path}: damaged {_FORMAT} file: inconsistent shapes")
     try:
-        weights = np.zeros((len(labels), config.num_buckets), dtype=np.float64)
+        weights = np.zeros((len(LABEL_ORDER), config.num_buckets), dtype=np.float64)
     except (ValueError, MemoryError) as exc:  # num_buckets too large to allocate
         raise InvalidConfigError(f"{path}: damaged {_FORMAT} file: {exc!r}") from None
     weights[:, columns] = values
-    return LinearModel(
-        class_labels=labels,
-        weights=weights,
-        bias=bias,
-        feature_config=config,
-    )
+    return LinearModel(weights=weights, bias=bias, feature_config=config)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ynkit import model as model_module
 from ynkit.blend import EpochDataset, TrainingPlan
 from ynkit.corpus import LABEL_ORDER, Corpus, Dialogue, Turn, split_sentences, tokenize
 from ynkit.distant import QAInstance, instance_to_dict
@@ -84,7 +85,7 @@ def naive_featurize(instance, config):
             text = instance.question
         else:
             text = instance.answer
-        tokens = [t.lower() for t in tokenize(text)][: config.max_tokens_per_field]
+        tokens = [t.lower() for t in tokenize(text)][: model_module.MAX_TOKENS_PER_FIELD]
         prefix = FIELD_PREFIXES[field_name]
         for order in sorted(config.ngram_orders):
             for i in range(len(tokens) - order + 1):
@@ -117,7 +118,7 @@ def naive_predict(model, instance):
     shifted = scores - scores.max()
     exp = np.exp(shifted)
     probs = exp / exp.sum()
-    return model.class_labels[int(np.argmax(probs))], probs
+    return LABEL_ORDER[int(np.argmax(probs))], probs
 
 
 # -- the update train applies, against finite differences of the log-loss --
@@ -166,11 +167,11 @@ def train_step_gradients(config, probe_size, seed=0, step=1e-5):
     rows = _probe_rows(probe_size, seed)
     lr, decay = config.learning_rate, 1.0 - config.learning_rate * config.l2
     classes = len(LABEL_ORDER)
-    before = LinearModel(LABEL_ORDER, np.zeros((classes, config.num_buckets)), np.zeros(classes), config)
+    before = LinearModel(np.zeros((classes, config.num_buckets)), np.zeros(classes), config)
     applied, numeric = [], []
     for k, row in enumerate(rows):
         epoch = EpochDataset(gold_count=k + 1, instances=tuple(rows[: k + 1]))
-        after = train(TrainingPlan(epochs=(epoch,), strategy="gold_only", provenance={}), config)
+        after = train(TrainingPlan(epochs=(epoch,), provenance={}), config)
         target = LABEL_ORDER.index(row.label)
 
         def loss():

@@ -13,7 +13,6 @@ from contextlib import contextmanager
 import pytest
 
 from ynkit.blend import (
-    BlendConfig,
     build_blended_plan,
     build_gold_plan,
     build_merged_plan,
@@ -143,9 +142,7 @@ def test_criterion_3_blend_schedule_exactness():
             for i in range(40)
         ]
         for alpha in (0.2, 0.5, 0.8):
-            plan = build_blended_plan(
-                gold, distant, BlendConfig(alpha=alpha, m=4, n=2, seed=77)
-            )
+            plan = build_blended_plan(gold, distant, alpha=alpha, m=4, n=2, seed=77)
             got = [e.gold_count for e in plan.epochs]
             expected = [
                 round_half_away_from_zero(alpha ** (i - 1) * 100) for i in range(1, 5)
@@ -202,7 +199,7 @@ def test_criterion_5_gradient_correctness():
 
 TREND_SEED = 13
 TREND_EPOCHS = 6
-TREND_BLEND = BlendConfig(alpha=0.2, m=4, n=2, seed=TREND_SEED)
+TREND_BLEND = dict(alpha=0.2, m=4, n=2, seed=TREND_SEED)
 TREND_TRAIN = TrainConfig(ngram_orders=(1,), fields_used=("answer",))
 
 
@@ -221,14 +218,14 @@ def _trend_models():
         "capped": build_merged_plan(
             bundle.gold, distant, TREND_EPOCHS, TREND_SEED, distant_cap=len(bundle.gold)
         ),
-        "blended": build_blended_plan(bundle.gold, distant, TREND_BLEND),
+        "blended": build_blended_plan(bundle.gold, distant, **TREND_BLEND),
     }
     gold_labels = [inst.label for inst in bundle.test]
     macro = {}
     for name, plan in plans.items():
         model = train(plan, TREND_TRAIN)
         winners = predict_proba(model, bundle.test).argmax(axis=1).tolist()
-        preds = [model.class_labels[i] for i in winners]
+        preds = [LABEL_ORDER[i] for i in winners]
         macro[name] = score(gold_labels, preds).macro_f1
     return macro
 

@@ -1,12 +1,12 @@
 import filecmp
 import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ynkit.blend import (
-    BlendConfig,
     build_blended_plan,
     build_gold_plan,
     build_merged_plan,
@@ -51,7 +51,7 @@ def test_merged_plan_sizes():
     plan = build_merged_plan(GOLD[:10], DISTANT[:20], epochs=2, seed=0)
     assert [len(e.instances) for e in plan.epochs] == [30, 30]
     assert [e.gold_count for e in plan.epochs] == [10, 10]
-    assert plan.strategy == "merged"
+    assert plan.provenance["strategy"] == "merged"
 
 
 def test_merged_plan_with_cap():
@@ -67,7 +67,7 @@ def test_merged_plan_with_cap():
 def test_merged_without_distant_equals_gold_plan():
     merged = build_merged_plan(GOLD[:10], [], epochs=3, seed=5)
     gold_only = build_gold_plan(GOLD[:10], epochs=3, seed=5)
-    assert gold_only.strategy == "gold_only"
+    assert gold_only.provenance["strategy"] == "gold_only"
     assert [e.instances for e in merged.epochs] == [e.instances for e in gold_only.epochs]
 
 
@@ -77,32 +77,29 @@ def test_empty_plan_rejected():
 
 
 def test_blended_worked_example():
-    config = BlendConfig(alpha=0.5, m=3, n=2, seed=11)
-    plan = build_blended_plan(GOLD, DISTANT, config)
+    plan = build_blended_plan(GOLD, DISTANT, alpha=0.5, m=3, n=2, seed=11)
     assert [len(e.instances) for e in plan.epochs] == [500, 450, 425, 400, 400]
     assert [e.gold_count for e in plan.epochs] == [100, 50, 25, 0, 0]
-    assert plan.strategy == "blended"
+    assert plan.provenance["strategy"] == "blended"
 
 
 def test_blended_alpha_one_and_zero():
-    keep_all = build_blended_plan(GOLD, DISTANT, BlendConfig(alpha=1.0, m=2, n=0, seed=0))
+    keep_all = build_blended_plan(GOLD, DISTANT, alpha=1.0, m=2, n=0, seed=0)
     assert [e.gold_count for e in keep_all.epochs] == [100, 100]
-    drop_all = build_blended_plan(GOLD, DISTANT, BlendConfig(alpha=0.0, m=2, n=0, seed=0))
+    drop_all = build_blended_plan(GOLD, DISTANT, alpha=0.0, m=2, n=0, seed=0)
     assert [e.gold_count for e in drop_all.epochs] == [100, 0]
 
 
 def test_blended_alpha_grid_counts():
     for alpha in (0.2, 0.5, 0.8):
-        plan = build_blended_plan(
-            GOLD, DISTANT, BlendConfig(alpha=alpha, m=4, n=2, seed=1)
-        )
+        plan = build_blended_plan(GOLD, DISTANT, alpha=alpha, m=4, n=2, seed=1)
         expected = [round_half_away_from_zero(alpha ** i * 100) for i in range(4)] + [0, 0]
         assert [e.gold_count for e in plan.epochs] == expected
         assert plan.epochs[0].gold_count == 100
 
 
 def test_blended_fresh_subsample_per_epoch():
-    plan = build_blended_plan(GOLD, DISTANT, BlendConfig(alpha=0.5, m=2, n=0, seed=2))
+    plan = build_blended_plan(GOLD, DISTANT, alpha=0.5, m=2, n=0, seed=2)
     epoch2_gold = {i.origin_ids for i in plan.epochs[1].instances if i.source == "gold"}
     assert len(epoch2_gold) == 50
     all_gold = {i.origin_ids for i in GOLD}
@@ -111,16 +108,19 @@ def test_blended_fresh_subsample_per_epoch():
 
 def test_blended_preconditions():
     with pytest.raises(InvalidConfigError):
-        build_blended_plan([], DISTANT, BlendConfig(alpha=0.5, m=1, n=0, seed=0))
+        build_blended_plan([], DISTANT, alpha=0.5, m=1, n=0, seed=0)
     with pytest.raises(InvalidConfigError):
-        build_blended_plan(GOLD, [], BlendConfig(alpha=0.5, m=1, n=0, seed=0))
-    with pytest.raises(InvalidConfigError):
-        BlendConfig(alpha=1.5, m=1, n=0, seed=0)
-    with pytest.raises(InvalidConfigError):
-        BlendConfig(alpha=0.5, m=0, n=0, seed=0)
+        build_blended_plan(GOLD, [], alpha=0.5, m=1, n=0, seed=0)
+    # the schedule is checked before the pools
+    for alpha, m, n, message in ((1.5, 1, 0, "alpha must be in [0, 1], got 1.5"),
+                                 (-0.1, 1, 0, "alpha must be in [0, 1], got -0.1"),
+                                 (0.5, 0, 0, "m must be >= 1, got 0"),
+                                 (0.5, 1, -1, "n must be >= 0, got -1")):
+        with pytest.raises(InvalidConfigError, match=re.escape(message)):
+            build_blended_plan([], [], alpha=alpha, m=m, n=n, seed=0)
     for cap in (0, -5):
         with pytest.raises(InvalidConfigError, match=f"distant_cap must be > 0, got {cap}"):
-            build_blended_plan(GOLD, DISTANT, BlendConfig(alpha=0.5, m=1, n=0, seed=0, distant_cap=cap))
+            build_blended_plan(GOLD, DISTANT, alpha=0.5, m=1, n=0, seed=0, distant_cap=cap)
         with pytest.raises(InvalidConfigError, match=f"distant_cap must be > 0, got {cap}"):
             build_merged_plan(GOLD, DISTANT, epochs=1, seed=0, distant_cap=cap)
 
@@ -131,9 +131,7 @@ def test_blended_preconditions():
     n=st.integers(min_value=0, max_value=3),
 )
 def test_blended_gold_counts_non_increasing(alpha, m, n):
-    plan = build_blended_plan(
-        GOLD[:37], DISTANT[:20], BlendConfig(alpha=alpha, m=m, n=n, seed=4)
-    )
+    plan = build_blended_plan(GOLD[:37], DISTANT[:20], alpha=alpha, m=m, n=n, seed=4)
     counts = [e.gold_count for e in plan.epochs]
     assert counts[0] == 37
     assert all(a >= b for a, b in zip(counts, counts[1:]))
@@ -143,22 +141,22 @@ def test_blended_gold_counts_non_increasing(alpha, m, n):
 
 def test_merged_epoch_not_smaller_than_blended_later_epochs():
     merged = build_merged_plan(GOLD, DISTANT, epochs=5, seed=3)
-    blended = build_blended_plan(GOLD, DISTANT, BlendConfig(alpha=0.5, m=3, n=2, seed=3))
+    blended = build_blended_plan(GOLD, DISTANT, alpha=0.5, m=3, n=2, seed=3)
     merged_size = len(merged.epochs[0].instances)
     for epoch in blended.epochs[1:]:
         assert merged_size >= len(epoch.instances)
 
 
 def test_plan_construction_pure_function():
-    config = BlendConfig(alpha=0.5, m=3, n=1, seed=8)
-    a = build_blended_plan(GOLD, DISTANT, config)
-    b = build_blended_plan(GOLD, DISTANT, config)
+    config = dict(alpha=0.5, m=3, n=1, seed=8)
+    a = build_blended_plan(GOLD, DISTANT, **config)
+    b = build_blended_plan(GOLD, DISTANT, **config)
     assert plan_instances_digest(a) == plan_instances_digest(b)
     assert [e.gold_count for e in a.epochs] == [e.gold_count for e in b.epochs]
 
 
 def test_export_plan_files_and_reexport_byte_identical(tmp_path):
-    plan = build_blended_plan(GOLD, DISTANT, BlendConfig(alpha=0.5, m=3, n=2, seed=6))
+    plan = build_blended_plan(GOLD, DISTANT, alpha=0.5, m=3, n=2, seed=6)
     dir_a = tmp_path / "a"
     dir_b = tmp_path / "b"
     export_plan(plan, dir_a)
@@ -178,7 +176,7 @@ def test_load_plan_round_trip(tmp_path):
     plan = build_merged_plan(GOLD[:6], DISTANT[:4], epochs=2, seed=1)
     export_plan(plan, tmp_path)
     loaded = load_plan(tmp_path)
-    assert loaded.strategy == "merged"
+    assert loaded.provenance["strategy"] == "merged"
     assert [e.gold_count for e in loaded.epochs] == [6, 6]
     assert [e.instances for e in loaded.epochs] == [e.instances for e in plan.epochs]
 
@@ -194,7 +192,7 @@ def test_export_plan_pinned_digest(tmp_path):
         source="gold",
         origin_ids=("u", "u-q", "u-a"),
     )
-    plan = build_blended_plan(GOLD[:30] + [odd], DISTANT[:60], BlendConfig(alpha=0.5, m=3, n=2, seed=6))
+    plan = build_blended_plan(GOLD[:30] + [odd], DISTANT[:60], alpha=0.5, m=3, n=2, seed=6)
     export_plan(plan, tmp_path)
     h = hashlib.sha256()
     for path in sorted(tmp_path.iterdir()):
@@ -203,7 +201,7 @@ def test_export_plan_pinned_digest(tmp_path):
 
 
 def _exported_blended(tmp_path):
-    plan = build_blended_plan(GOLD[:20], DISTANT[:30], BlendConfig(alpha=0.5, m=3, n=2, seed=4))
+    plan = build_blended_plan(GOLD[:20], DISTANT[:30], alpha=0.5, m=3, n=2, seed=4)
     export_plan(plan, tmp_path)
     return plan
 
@@ -298,6 +296,6 @@ def test_load_plan_bad_manifest(tmp_path, manifest):
 def test_export_empty_plan_rejected(tmp_path):
     from ynkit.blend import TrainingPlan
 
-    hollow = TrainingPlan(epochs=(), strategy="merged", provenance={})
+    hollow = TrainingPlan(epochs=(), provenance={})
     with pytest.raises(EmptyPlanError):
         export_plan(hollow, tmp_path)

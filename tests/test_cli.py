@@ -156,11 +156,13 @@ def test_config_file_sets_defaults_flags_win(fixture_corpus_path, tmp_path, caps
 
 def test_config_file_unknown_key_is_error(fixture_corpus_path, tmp_path, capsys):
     config = tmp_path / "run.conf"
-    config.write_text("seed = 3\nalhpa = 0.9\n", encoding="utf-8")
-    rc = main(["identify", "--corpus", str(fixture_corpus_path), "--config", str(config),
-               "--out", str(tmp_path / "m.jsonl")])
-    _assert_one_line_error(rc, capsys.readouterr().err, f"{config}: unknown key 'alhpa'")
-    assert not (tmp_path / "m.jsonl").exists()
+    # help is the name of argparse's help action, not a flag with a value
+    for line, key in (("alhpa = 0.9", "alhpa"), ("help = whatever", "help")):
+        config.write_text(f"seed = 3\n{line}\n", encoding="utf-8")
+        rc = main(["identify", "--corpus", str(fixture_corpus_path), "--config", str(config),
+                   "--out", str(tmp_path / "m.jsonl")])
+        _assert_one_line_error(rc, capsys.readouterr().err, f"{config}: unknown key '{key}'")
+        assert not (tmp_path / "m.jsonl").exists()
 
 
 def test_config_file_keys_of_other_subcommands_are_valid(fixture_corpus_path, tmp_path):
@@ -531,7 +533,7 @@ def test_predict_rejects_truncated_model(trained_pipeline, tmp_path, capsys):
     _assert_one_line_error(rc, capsys.readouterr().err, str(damaged))
 
 
-@pytest.mark.parametrize("value", ["5", -2])
+@pytest.mark.parametrize("value", ["5", -2, 511])
 def test_predict_rejects_bad_max_tokens_per_field(trained_pipeline, tmp_path, capsys, value):
     damaged = tmp_path / "model.json"
     payload = json.loads(trained_pipeline["model"].read_text(encoding="utf-8"))
@@ -541,7 +543,37 @@ def test_predict_rejects_bad_max_tokens_per_field(trained_pipeline, tmp_path, ca
                "--out", str(tmp_path / "preds.jsonl")])
     err = capsys.readouterr().err
     _assert_one_line_error(rc, err, f"error: {damaged}: damaged ")
-    assert f"max_tokens_per_field must be an integer >= 1, got {value!r}" in err
+    assert f"max_tokens_per_field must be 512, got {value!r}" in err
+
+
+def test_model_file_with_or_without_the_token_cap_predicts_the_same(trained_pipeline, tmp_path, capsys):
+    """Model files written before the cap was fixed record it as 512."""
+    payload = json.loads(trained_pipeline["model"].read_text(encoding="utf-8"))
+    assert "max_tokens_per_field" not in payload["config"]
+    payload["config"]["max_tokens_per_field"] = 512
+    recorded = tmp_path / "model.json"
+    recorded.write_text(json.dumps(payload), encoding="utf-8")
+    for model_file in (trained_pipeline["model"], recorded):
+        out = tmp_path / "preds.jsonl"
+        assert main(["predict", "--model", str(model_file), "--in", str(trained_pipeline["distant"]),
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == trained_pipeline["preds"].read_bytes()
+
+
+@pytest.mark.parametrize(
+    "labels", [["yes", "yes", "middle"], ["no", "yes", "middle"], ["yes", "no"]], ids=["duplicate", "permuted", "two"]
+)
+def test_predict_rejects_other_class_labels(trained_pipeline, tmp_path, capsys, labels):
+    """Weight rows follow LABEL_ORDER, so a file listing its labels in any
+    other way would predict the wrong labels."""
+    damaged = tmp_path / "model.json"
+    payload = json.loads(trained_pipeline["model"].read_text(encoding="utf-8"))
+    payload["class_labels"] = labels
+    damaged.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "preds.jsonl"
+    rc = main(["predict", "--model", str(damaged), "--in", str(trained_pipeline["distant"]), "--out", str(out)])
+    _assert_one_line_error(rc, capsys.readouterr().err, f"error: {damaged}: damaged ynkit-linear-model file: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", [[1.5], [True, 2]])

@@ -84,8 +84,8 @@ def test_joint_permutation_invariance():
 
 def test_confusion_matrix_totals():
     cm = confusion_matrix([Y, Y, N, M], [Y, N, N, M])
-    assert cm.total == 4
-    assert cm.counts[0][0] == 1 and cm.counts[0][1] == 1
+    assert sum(map(sum, cm)) == 4
+    assert cm[0][0] == 1 and cm[0][1] == 1
 
 
 # -- Cohen's kappa --

@@ -2,6 +2,7 @@ import base64
 import hashlib
 import json
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from ynkit import corpus as corpus_module, model as model_module
 from ynkit.blend import (
-    BlendConfig,
     build_blended_plan,
     build_gold_plan,
     build_merged_plan,
@@ -68,9 +68,6 @@ def test_train_config_validation():
         TrainConfig(ngram_orders=(1, 2, 1))
     with pytest.raises(InvalidConfigError, match="repeat"):
         TrainConfig(fields_used=("question", "question"))
-    for bad in ("5", -2, 0, True, 3.0):
-        with pytest.raises(InvalidConfigError, match="max_tokens_per_field must be an integer >= 1"):
-            TrainConfig(max_tokens_per_field=bad)
     for bad in ((1.5,), (True, 2), (1, 2.0), ("2",), (0,)):
         with pytest.raises(InvalidConfigError, match="ngram_orders must be integers >= 1"):
             TrainConfig(ngram_orders=bad)
@@ -93,21 +90,23 @@ def test_featurize_unigram_counts():
 
 
 @pytest.mark.parametrize(
-    "config",
+    "config, max_tokens",
     [
-        TrainConfig(),
-        TrainConfig(num_buckets=2**4, ngram_orders=(3, 1, 2)),  # colliding buckets
-        TrainConfig(fields_used=("answer", "context"), ngram_orders=(2,), max_tokens_per_field=3),
+        (TrainConfig(), model_module.MAX_TOKENS_PER_FIELD),
+        (TrainConfig(num_buckets=2**4, ngram_orders=(3, 1, 2)), model_module.MAX_TOKENS_PER_FIELD),  # colliding
+        (TrainConfig(fields_used=("answer", "context"), ngram_orders=(2,)), 3),  # the cap cuts most fields
     ],
+    ids=["config0", "config1", "config2"],
 )
-def test_featurize_matches_plain_loop(config):
+def test_featurize_matches_plain_loop(config, max_tokens):
     instances = make_test_instances(SynthConfig(seed=3, n_test=60)) + [
         _inst("?!", "Yes , yes , yes ...", Label.YES, context=("", "(a) [b]")),
         _inst("Is it?", "x", Label.NO, context=()),
     ]
-    for inst in instances + instances:  # the second pass finds every n-gram cached
-        expected = naive_featurize(inst, config)
-        assert list(featurize(inst, config).items()) == list(expected.items())
+    with patch.object(model_module, "MAX_TOKENS_PER_FIELD", max_tokens):
+        for inst in instances + instances:  # the second pass finds every n-gram cached
+            expected = naive_featurize(inst, config)
+            assert list(featurize(inst, config).items()) == list(expected.items())
 
 
 def _fresh_caches(monkeypatch):
@@ -161,10 +160,11 @@ _TEXTS = st.lists(
 )
 def test_shared_chunk_memo_matches_plain_loop(texts, max_tokens):
     """The process caches, shared by many instances, give the oracle's
-    features, also where max_tokens_per_field cuts through a chunk's tokens."""
-    config = TrainConfig(num_buckets=2**6, ngram_orders=(1, 2, 3), max_tokens_per_field=max_tokens)
+    features, also where the token cap cuts through a chunk's tokens."""
+    config = TrainConfig(num_buckets=2**6, ngram_orders=(1, 2, 3))
     instances = [_inst(q, a, Label.YES, context=context) for context, q, a in texts]
     with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(model_module, "MAX_TOKENS_PER_FIELD", max_tokens)
         _fresh_caches(monkeypatch)
         for inst in instances + instances:
             assert list(featurize(inst, config).items()) == list(naive_featurize(inst, config).items())
@@ -198,18 +198,17 @@ def _batch(texts):
 def test_featurize_many_rows_equal_featurize_and_oracle(texts, orders, fields, max_tokens, buckets):
     """Each CSR row is bitwise the sorted featurize map and the oracle's,
     rows with no n-gram included."""
-    config = TrainConfig(
-        num_buckets=buckets, ngram_orders=orders, fields_used=fields, max_tokens_per_field=max_tokens
-    )
+    config = TrainConfig(num_buckets=buckets, ngram_orders=orders, fields_used=fields)
     instances = _batch(texts)
-    indptr, indices, values = featurize_many(instances, config)
-    assert indptr[0] == 0 and indptr[-1] == len(indices) == len(values)
-    assert indptr[1] == 0  # the first instance has no text
-    for i, inst in enumerate(instances):
-        lo, hi = indptr[i], indptr[i + 1]
-        for expected in (_as_arrays(featurize(inst, config)), _as_arrays(naive_featurize(inst, config))):
-            assert indices[lo:hi].tobytes() == expected[0].tobytes()
-            assert values[lo:hi].tobytes() == expected[1].tobytes()
+    with patch.object(model_module, "MAX_TOKENS_PER_FIELD", max_tokens):
+        indptr, indices, values = featurize_many(instances, config)
+        assert indptr[0] == 0 and indptr[-1] == len(indices) == len(values)
+        assert indptr[1] == 0  # the first instance has no text
+        for i, inst in enumerate(instances):
+            lo, hi = indptr[i], indptr[i + 1]
+            for expected in (_as_arrays(featurize(inst, config)), _as_arrays(naive_featurize(inst, config))):
+                assert indices[lo:hi].tobytes() == expected[0].tobytes()
+                assert values[lo:hi].tobytes() == expected[1].tobytes()
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -224,7 +223,6 @@ def test_predict_proba_rows_equal_naive_predict(texts, orders, fields, weight_sc
     config = TrainConfig(num_buckets=2**6, ngram_orders=orders, fields_used=fields)
     rng = np.random.default_rng(seed)
     model = LinearModel(
-        LABEL_ORDER,
         weight_scale * rng.normal(size=(3, config.num_buckets)),
         weight_scale * rng.normal(size=3),
         config,
@@ -235,7 +233,7 @@ def test_predict_proba_rows_equal_naive_predict(texts, orders, fields, weight_sc
     for inst, row in zip(instances, probs):
         label, expected = naive_predict(model, inst)
         assert row.tobytes() == expected.tobytes()
-        assert model.class_labels[int(np.argmax(row))] is label
+        assert LABEL_ORDER[int(np.argmax(row))] is label
         assert predict(model, inst) == (label, dict(zip(LABEL_ORDER, expected.tolist())))
 
 
@@ -340,7 +338,6 @@ def test_predict_probabilities_sum_to_one():
 def test_zero_weights_uniform_and_tie_break():
     config = TrainConfig()
     model = LinearModel(
-        class_labels=LABEL_ORDER,
         weights=np.zeros((3, config.num_buckets)),
         bias=np.zeros(3),
         feature_config=config,
@@ -354,7 +351,6 @@ def test_scaling_weights_preserves_argmax():
     instances = _toy_separable(5)
     model = train(build_gold_plan(instances, 3, 0), TrainConfig())
     scaled = LinearModel(
-        class_labels=model.class_labels,
         weights=model.weights * 3.7,
         bias=model.bias * 3.7,
         feature_config=model.feature_config,
@@ -370,7 +366,6 @@ def test_bucket_permutation_invariance():
     rng = np.random.default_rng(0)
     perm = rng.permutation(config.num_buckets)
     permuted = LinearModel(
-        class_labels=model.class_labels,
         weights=model.weights[:, np.argsort(perm)],
         bias=model.bias,
         feature_config=config,
@@ -412,7 +407,6 @@ def test_model_serialization_round_trip(tmp_path):
     loaded = load_model(path)
     assert np.array_equal(loaded.weights, model.weights)
     assert np.array_equal(loaded.bias, model.bias)
-    assert loaded.class_labels == model.class_labels
     assert loaded.feature_config == model.feature_config
     # byte-identical re-save
     path2 = tmp_path / "model2.json"
@@ -437,7 +431,7 @@ def test_model_file_stores_only_set_columns(tmp_path):
     weights = np.zeros((3, config.num_buckets))
     weights[:, 7] = [0.5, -1.25, 3.0]
     weights[1, 900] = -0.0  # a set sign bit is kept
-    model = LinearModel(LABEL_ORDER, weights, np.array([0.1, 0.2, -0.3]), config)
+    model = LinearModel(weights, np.array([0.1, 0.2, -0.3]), config)
     path = tmp_path / "model.json"
     save_model(model, path)
     payload = json.loads(path.read_text())
@@ -459,8 +453,11 @@ def test_model_file_stores_only_set_columns(tmp_path):
         lambda data: data.replace(b'"bias_b64"', b'"bias"'),
         lambda data: b"\xff\xfe" + data,
         lambda data: data.replace(b'"num_buckets": 1024', b'"num_buckets": 4611686018427387904'),
+        lambda data: data.replace(b'["yes", "no", "middle"]', b'["yes", "yes", "middle"]'),
+        lambda data: data.replace(b'["yes", "no", "middle"]', b'["no", "yes", "middle"]'),
     ],
-    ids=["truncated", "bad_base64", "columns_mismatch", "missing_key", "not_utf8", "huge_num_buckets"],
+    ids=["truncated", "bad_base64", "columns_mismatch", "missing_key", "not_utf8", "huge_num_buckets",
+         "duplicate_labels", "permuted_labels"],
 )
 def test_load_model_damaged_file_names_path(tmp_path, damage):
     model = train(build_gold_plan(_toy_separable(3), 1, 0), TrainConfig(num_buckets=2**10))
@@ -498,7 +495,7 @@ def _blended_plan():
         replace(inst, context=("another context",), origin_ids=tuple(i + "-dup" for i in inst.origin_ids))
         for inst in distant[:15]
     ]
-    return build_blended_plan(gold, distant, BlendConfig(alpha=0.5, m=3, n=1, seed=2))
+    return build_blended_plan(gold, distant, alpha=0.5, m=3, n=1, seed=2)
 
 
 _PLAN_CONFIG = TrainConfig(num_buckets=2**12, fields_used=("question", "answer"))
