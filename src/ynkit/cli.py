@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from . import distant, qid
 from .corpus import LABEL_ORDER, Label, _require, iter_jsonl, load_corpus, parse_label
-from .errors import CorpusFormatError, InvalidConfigError, UnmappedLabelError, YnkitError
+from .errors import CorpusFormatError, InvalidConfigError, MalformedMatchError, UnmappedLabelError, YnkitError
 
 DEFAULT_SEED = 1729  # fixed so bare runs are reproducible; override with --seed
 
@@ -54,7 +54,7 @@ def _config_defaults(path: str, values: dict[str, str], parser: argparse.Argumen
     defaults = {}
     for action in parser._actions:
         text = values.get(action.dest)
-        if text is None or action.dest == "config":
+        if text is None:
             continue
         if isinstance(action, argparse._StoreTrueAction):
             if text.lower() not in ("true", "false"):
@@ -106,10 +106,27 @@ def _cmd_identify(args) -> int:
     return 0
 
 
+def _first_line_without(path: str, key: str) -> str:
+    """The "{path}: line N" of the first record in path whose key is absent
+    or null; the readers keep no line numbers, so this reads path again."""
+    return next(where for where, obj in iter_jsonl(path) if obj.get(key) is None)
+
+
+def _read_labeled(path: str, message: str) -> list[distant.QAInstance]:
+    """The instances of path; one with no label is an error naming its line."""
+    instances = distant.read_instances(path)
+    if any(inst.label is None for inst in instances):
+        raise YnkitError(f"{_first_line_without(path, 'label')}: {message}")
+    return instances
+
+
 def _cmd_distill(args) -> int:
     corpus = load_corpus(args.corpus)
     matches = qid.load_matches(args.matches, corpus)
-    instances = distant.extract_distant_instances(corpus, matches, args.context_window)
+    try:
+        instances = distant.extract_distant_instances(corpus, matches, args.context_window)
+    except MalformedMatchError as exc:  # a relaxed match with no reply
+        raise YnkitError(f"{_first_line_without(args.matches, 'answer_turn_id')}: {exc}") from None
     if args.balance:
         instances = distant.balance_dataset(instances, seed=args.seed)
     distant.write_instances(instances, args.out)
@@ -120,8 +137,8 @@ def _cmd_distill(args) -> int:
 def _cmd_plan(args) -> int:
     from . import blend  # each step imports only the modules it uses
 
-    gold = distant.read_instances(args.gold) if args.gold else []
-    distant_pool = distant.read_instances(args.distant) if args.distant else []
+    gold = _read_labeled(args.gold, "every gold instance needs a label") if args.gold else []
+    distant_pool = _read_labeled(args.distant, "every distant instance needs a label") if args.distant else []
     if args.strategy == "blended":
         plan = blend.build_blended_plan(
             gold, distant_pool, alpha=args.alpha, m=args.m, n=args.n, seed=args.seed, distant_cap=args.cap
@@ -213,18 +230,10 @@ def _read_pred_labels(path: str) -> list[Optional[Label]]:
     return labels
 
 
-def _first_unlabeled(path: str) -> str:
-    """The "{path}: line N" of the first instance in path with no label;
-    read_instances keeps no line numbers, so this reads path again."""
-    return next(where for where, obj in iter_jsonl(path) if obj.get("label") is None)
-
-
 def _cmd_evaluate(args) -> int:
     from . import evaluation
 
-    gold = [inst.label for inst in distant.read_instances(args.gold)]
-    if any(label is None for label in gold):
-        raise YnkitError(f"{_first_unlabeled(args.gold)}: every gold instance needs a label")
+    gold = [inst.label for inst in _read_labeled(args.gold, "every gold instance needs a label")]
     preds = _read_pred_labels(args.pred)
     gold_kept, pred_kept, excluded = evaluation.align_for_scoring(
         gold, preds, policy=args.unmapped
@@ -255,9 +264,7 @@ def _cmd_probe(args) -> int:
     if args.shots:
         if not args.shot_examples:
             raise YnkitError("--shots requires --shot-examples with labeled instances")
-        shots = distant.read_instances(args.shot_examples)
-        if any(inst.label is None for inst in shots):
-            raise YnkitError(f"{_first_unlabeled(args.shot_examples)}: shot examples must be labeled")
+        shots = _read_labeled(args.shot_examples, "shot examples must be labeled")
         examples = tuple((inst.question, inst.answer, inst.label) for inst in shots)
         template = llm_probe.PromptTemplate(shot_examples=examples)
     if args.client == "replay":
@@ -393,9 +400,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser, _ = build_parser(next((a for a in argv if not a.startswith("-")), None))
     else:
         parser, registry = build_parser()  # a key may be any subcommand's
-        known_keys = {
-            a.dest for p in registry.values() for a in p._actions if not isinstance(a, argparse._HelpAction)
-        }
+        # -h and --config take no value a file can set: a file names no other file
+        known_keys = {a.dest for p in registry.values() for a in p._actions} - {"help", "config"}
         try:
             file_values = _read_config_file(known.config, known_keys)
             for sub_parser in registry.values():

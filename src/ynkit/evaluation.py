@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -47,19 +46,6 @@ class KappaResult:
     # fraction of *disagreements* per unordered label pair; empty when the
     # annotators never disagree
     disagreement_breakdown: dict[tuple[Label, Label], float]
-
-    @property
-    def polar_vs_middle_fraction(self) -> float:
-        """Fraction of disagreements pitting Yes or No against Middle."""
-        return sum(
-            fraction
-            for pair, fraction in self.disagreement_breakdown.items()
-            if Label.MIDDLE in pair
-        )
-
-    @property
-    def yes_vs_no_fraction(self) -> float:
-        return self.disagreement_breakdown.get((Label.NO, Label.YES), 0.0)
 
 
 @dataclass(frozen=True)
@@ -238,24 +224,6 @@ def mcnemar(
         statistic = float(min(b, c))
         p_value = _binomial_two_sided(min(b, c), b + c)
     return McNemarResult(b=b, c=c, statistic=statistic, p_value=p_value, method=method)
-
-
-def compare_runs(
-    gold: Sequence[Label],
-    preds: dict[str, Sequence[Label]],
-    method: str = "continuity_corrected_chi2",
-) -> dict:
-    """EvalReport per system plus pairwise McNemar tests, as a JSON-ready
-    dict."""
-    reports = {name: score(gold, p) for name, p in preds.items()}
-    pairwise = []
-    for name_a, name_b in combinations(sorted(preds), 2):
-        result = mcnemar(gold, preds[name_a], preds[name_b], method=method)
-        pairwise.append({"system_a": name_a, "system_b": name_b, **result.to_dict()})
-    return {
-        "systems": {name: report.to_dict() for name, report in reports.items()},
-        "pairwise_mcnemar": pairwise,
-    }
 
 
 def write_report(report_dict: dict, path: Union[str, Path]) -> None:

@@ -138,21 +138,17 @@ class ReplayClient:
     A store file is one JSON object from prompt digest to completion string.
     """
 
-    def __init__(self, store: Union[dict, str, Path]):
-        if isinstance(store, (str, Path)):
-            self.path = Path(store)
-            try:
-                store = json.loads(self.path.read_text(encoding="utf-8"))
-            except ValueError as exc:  # undecodable bytes or JSON
-                raise InvalidConfigError(f"{self.path}: not a replay store ({exc})") from None
-            if type(store) is not dict or any(type(v) is not str for v in store.values()):
-                raise InvalidConfigError(
-                    f"{self.path}: not a replay store (expected a JSON object of strings)"
-                )
-            self.store: dict[str, str] = store
-        else:
-            self.path = None
-            self.store = dict(store)
+    def __init__(self, path: Union[str, Path]):
+        self.path = Path(path)
+        try:
+            store = json.loads(self.path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # undecodable bytes or JSON
+            raise InvalidConfigError(f"{self.path}: not a replay store ({exc})") from None
+        if type(store) is not dict or any(type(v) is not str for v in store.values()):
+            raise InvalidConfigError(
+                f"{self.path}: not a replay store (expected a JSON object of strings)"
+            )
+        self.store: dict[str, str] = store
 
     def send(self, prompt: str) -> str:
         key = recording_key(prompt)
@@ -161,7 +157,7 @@ class ReplayClient:
         return self.store[key]
 
     def identity(self) -> str:
-        return f"replay:{self.path or 'memory'}"
+        return f"replay:{self.path}"
 
 
 class RecordingClient:

@@ -94,23 +94,25 @@ def _fillers(domain: str) -> tuple[str, ...]:
     return SOURCE_FILLERS if domain == "source" else TARGET_FILLERS
 
 
+GOLD_LABEL_WEIGHTS = (0.40, 0.32, 0.28)  # yes, no, middle
+TEST_LABEL_WEIGHTS = (0.40, 0.30, 0.30)
+WEAK_CUE_RATE = 0.25  # answers carrying a single cue word
+DISTRACTOR_RATE = 0.10  # answers carrying one opposite-polarity cue
+# flip-word machinery (domain-ambiguous vocabulary):
+FLIP_ANCHOR_RATE = 0.8  # polar gold answers also carry a same-polarity flip word
+FLIP_LEAK_RATE = 0.06  # polar distant answers carry some flip word
+FLIP_LEAK_REVERSAL = 0.7  # ... drawn target-polarity-consistent this often
+FLIP_ONLY_RATE = 0.3  # polar test answers whose only cue is a flip word
+LABEL_NOISE_RATE = 0.03  # gold-only label corruption
+DECOY_RATE = 0.01  # extra ambiguous direct answers in the corpus
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     seed: int = 13
     n_gold: int = 2000
     n_distant_questions: int = 8000
     n_test: int = 600
-    gold_label_weights: tuple[float, float, float] = (0.40, 0.32, 0.28)  # yes, no, middle
-    test_label_weights: tuple[float, float, float] = (0.40, 0.30, 0.30)
-    weak_cue_rate: float = 0.25  # answers carrying a single cue word
-    distractor_rate: float = 0.10  # answers carrying one opposite-polarity cue
-    # flip-word machinery (domain-ambiguous vocabulary):
-    flip_anchor_rate: float = 0.8  # polar gold answers also carry a same-polarity flip word
-    flip_leak_rate: float = 0.06  # polar distant answers carry some flip word
-    flip_leak_reversal: float = 0.7  # ... drawn target-polarity-consistent this often
-    flip_only_rate: float = 0.3  # polar test answers whose only cue is a flip word
-    label_noise_rate: float = 0.03  # gold-only label corruption
-    decoy_rate: float = 0.01  # extra ambiguous direct answers in the corpus
 
 
 def _rng(config: SynthConfig, scope: str) -> random.Random:
@@ -147,17 +149,11 @@ def _flip_word(label: Label, source_polarity: bool, rng: random.Random) -> str:
     return rng.choice(pool)
 
 
-def _answer_words(
-    domain: str,
-    label: Label,
-    config: SynthConfig,
-    rng: random.Random,
-    role: str,
-) -> list[str]:
+def _answer_words(domain: str, label: Label, rng: random.Random, role: str) -> list[str]:
     """Word multiset for one answer; role is gold, distant, or test."""
     inventory = _cue_inventory(domain, label)
     polar = label is not Label.MIDDLE
-    if polar and role == "test" and rng.random() < config.flip_only_rate:
+    if polar and role == "test" and rng.random() < FLIP_ONLY_RATE:
         # the only evidence is a flip word carrying its target reading
         cues = [_flip_word(label, source_polarity=False, rng=rng)]
         words = cues + rng.sample(_fillers(domain), rng.randint(3, 5))
@@ -165,35 +161,29 @@ def _answer_words(
         return words
     first = rng.choice(inventory)
     cues = [first]
-    if rng.random() >= config.weak_cue_rate:
+    if rng.random() >= WEAK_CUE_RATE:
         cues.append(rng.choice([w for w in inventory if w != first]))
-    if polar and role == "gold" and rng.random() < config.flip_anchor_rate:
+    if polar and role == "gold" and rng.random() < FLIP_ANCHOR_RATE:
         cues.append(_flip_word(label, source_polarity=True, rng=rng))
-    if polar and role == "distant" and rng.random() < config.flip_leak_rate:
-        consistent = rng.random() < config.flip_leak_reversal
+    if polar and role == "distant" and rng.random() < FLIP_LEAK_RATE:
+        consistent = rng.random() < FLIP_LEAK_REVERSAL
         cues.append(_flip_word(label, source_polarity=not consistent, rng=rng))
     filler_pool = HEDGE_FILLERS if label is Label.MIDDLE else _fillers(domain)
     words = cues + rng.sample(filler_pool, rng.randint(3, 5))
-    if rng.random() < config.distractor_rate:
+    if rng.random() < DISTRACTOR_RATE:
         words.append(rng.choice(_opposite_inventory(domain, label, rng)))
     rng.shuffle(words)
     return words
 
 
-def _indirect_answer(
-    domain: str,
-    label: Label,
-    config: SynthConfig,
-    rng: random.Random,
-    role: str,
-) -> str:
-    words = _answer_words(domain, label, config, rng, role)
+def _indirect_answer(domain: str, label: Label, rng: random.Random, role: str) -> str:
+    words = _answer_words(domain, label, rng, role)
     return f"{words[0].capitalize()} {' '.join(words[1:])}.".replace("  ", " ")
 
 
-def _direct_answer(label: Label, config: SynthConfig, rng: random.Random) -> str:
+def _direct_answer(label: Label, rng: random.Random) -> str:
     keyword = rng.choice(YES_PLANT_KEYWORDS if label is Label.YES else NO_PLANT_KEYWORDS)
-    words = _answer_words("target", label, config, rng, role="distant")
+    words = _answer_words("target", label, rng, role="distant")
     return f"{keyword.capitalize()}, {' '.join(words)}."
 
 
@@ -201,23 +191,21 @@ def _sample_label(weights: tuple[float, float, float], rng: random.Random) -> La
     return rng.choices((Label.YES, Label.NO, Label.MIDDLE), weights=weights, k=1)[0]
 
 
-def _make_instances(
-    domain: str,
-    count: int,
-    weights: tuple[float, float, float],
-    config: SynthConfig,
-    scope: str,
-    noise_rate: float,
-    role: str,
-) -> list[QAInstance]:
-    rng = _rng(config, scope)
+def _make_instances(config: SynthConfig, role: str) -> list[QAInstance]:
+    """Indirect-answer instances for role "gold" (source domain, with label
+    noise) or "test" (target domain); role also names the RNG scope."""
+    gold = role == "gold"
+    domain = "source" if gold else "target"
+    count = config.n_gold if gold else config.n_test
+    weights = GOLD_LABEL_WEIGHTS if gold else TEST_LABEL_WEIGHTS
+    rng = _rng(config, role)
     instances = []
     for i in range(count):
         label = _sample_label(weights, rng)
-        answer = _indirect_answer(domain, label, config, rng, role)
-        if noise_rate and rng.random() < noise_rate:
+        answer = _indirect_answer(domain, label, rng, role)
+        if gold and rng.random() < LABEL_NOISE_RATE:
             label = rng.choice([l for l in Label if l is not label])
-        base = f"{domain}-{scope}-{i:05d}"
+        base = f"{domain}-{role}-{i:05d}"
         instances.append(
             QAInstance(
                 context=(_context_text(domain, rng),),
@@ -233,18 +221,12 @@ def _make_instances(
 
 def make_gold_instances(config: SynthConfig = SynthConfig()) -> list[QAInstance]:
     """Source-domain annotated training set (includes Middle)."""
-    return _make_instances(
-        "source", config.n_gold, config.gold_label_weights, config, "gold",
-        config.label_noise_rate, role="gold",
-    )
+    return _make_instances(config, "gold")
 
 
 def make_test_instances(config: SynthConfig = SynthConfig()) -> list[QAInstance]:
     """Target-domain evaluation set with indirect answers (includes Middle)."""
-    return _make_instances(
-        "target", config.n_test, config.test_label_weights, config, "test", 0.0,
-        role="test",
-    )
+    return _make_instances(config, "test")
 
 
 def make_distant_corpus(config: SynthConfig = SynthConfig()) -> tuple[Corpus, dict[str, Label]]:
@@ -259,7 +241,7 @@ def make_distant_corpus(config: SynthConfig = SynthConfig()) -> tuple[Corpus, di
     n = config.n_distant_questions
     labels = [Label.YES] * (n // 2) + [Label.NO] * (n - n // 2)
     rng.shuffle(labels)
-    n_decoys = int(round(n * config.decoy_rate))
+    n_decoys = int(round(n * DECOY_RATE))
     slots: list[Optional[Label]] = list(labels) + [None] * n_decoys
     rng.shuffle(slots)
 
@@ -272,7 +254,7 @@ def make_distant_corpus(config: SynthConfig = SynthConfig()) -> tuple[Corpus, di
             fillers = rng.sample(TARGET_FILLERS, 2)
             answer_text = f"Yes and no, the {fillers[0]} {fillers[1]} complicates it."
         else:
-            answer_text = _direct_answer(label, config, rng)
+            answer_text = _direct_answer(label, rng)
             latent[question_id] = label
         turns = (
             Turn(f"{dialogue_id}-t0", dialogue_id, 0, "A", _context_text("target", rng)),

@@ -156,8 +156,9 @@ def test_config_file_sets_defaults_flags_win(fixture_corpus_path, tmp_path, caps
 
 def test_config_file_unknown_key_is_error(fixture_corpus_path, tmp_path, capsys):
     config = tmp_path / "run.conf"
-    # help is the name of argparse's help action, not a flag with a value
-    for line, key in (("alhpa = 0.9", "alhpa"), ("help = whatever", "help")):
+    # help is the name of argparse's help action, not a flag with a value,
+    # and a config file cannot name another config file
+    for line, key in (("alhpa = 0.9", "alhpa"), ("help = whatever", "help"), ("config = other.conf", "config")):
         config.write_text(f"seed = 3\n{line}\n", encoding="utf-8")
         rc = main(["identify", "--corpus", str(fixture_corpus_path), "--config", str(config),
                    "--out", str(tmp_path / "m.jsonl")])
@@ -341,6 +342,37 @@ def test_evaluate_names_the_line_of_an_unlabeled_gold_instance(trained_pipeline,
                "--out", str(tmp_path / "report.json")])
     _assert_one_line_error(
         rc, capsys.readouterr().err, f"error: {gold}: line 3: every gold instance needs a label"
+    )
+
+
+@pytest.mark.parametrize("strategy", ["merged", "blended"])
+@pytest.mark.parametrize("role", ["gold", "distant"])
+def test_plan_names_the_line_of_an_unlabeled_instance(trained_pipeline, tmp_path, capsys, strategy, role):
+    first, second, *rest = trained_pipeline["distant"].read_text().splitlines(keepends=True)
+    unlabeled = {**json.loads(second), "label": None, "source": "gold"}
+    damaged = tmp_path / "damaged.jsonl"
+    damaged.write_text(first + "\n" + json.dumps(unlabeled) + "\n" + "".join(rest))
+    inputs = {"gold": str(trained_pipeline["distant"]), "distant": str(trained_pipeline["distant"]),
+              role: str(damaged)}
+    rc = main(["plan", "--gold", inputs["gold"], "--distant", inputs["distant"],
+               "--strategy", strategy, "--out", str(tmp_path / "plan")])
+    _assert_one_line_error(
+        rc, capsys.readouterr().err, f"error: {damaged}: line 3: every {role} instance needs a label"
+    )
+    assert not (tmp_path / "plan").exists()
+
+
+def test_distill_names_the_line_of_a_match_with_no_answer(fixture_corpus_path, tmp_path, capsys):
+    matches = tmp_path / "relaxed.jsonl"
+    assert main(["identify", "--corpus", str(fixture_corpus_path), "--mode", "relaxed",
+                 "--out", str(matches)]) == 0
+    lines = matches.read_text().splitlines()
+    n = next(i for i, line in enumerate(lines, 1) if json.loads(line).get("answer_turn_id") is None)
+    capsys.readouterr()
+    rc = main(["distill", "--corpus", str(fixture_corpus_path), "--matches", str(matches),
+               "--out", str(tmp_path / "d.jsonl")])
+    _assert_one_line_error(
+        rc, capsys.readouterr().err, f"error: {matches}: line {n}: match on turn 'd04-t5' has no answer turn"
     )
 
 

@@ -8,7 +8,6 @@ from ynkit.evaluation import (
     align_for_scoring,
     chi2_sf_1df,
     cohens_kappa,
-    compare_runs,
     confusion_matrix,
     mcnemar,
     score,
@@ -146,9 +145,8 @@ def test_kappa_disagreement_breakdown_groups():
     result = cohens_kappa(a, b)
     total = sum(result.disagreement_breakdown.values())
     assert abs(total - 1.0) < 1e-12
-    assert abs(result.polar_vs_middle_fraction - 6 / 7) < 1e-12
-    assert abs(result.yes_vs_no_fraction - 1 / 7) < 1e-12
-    assert abs(result.polar_vs_middle_fraction + result.yes_vs_no_fraction - 1.0) < 1e-12
+    # pairs are sorted by label value: 4 Yes/Middle, 2 No/Middle, 1 Yes/No
+    assert result.disagreement_breakdown == {(M, Y): 4 / 7, (M, N): 2 / 7, (N, Y): 1 / 7}
 
 
 # -- McNemar --
@@ -232,36 +230,6 @@ def test_chi2_tail_reference_points():
     assert abs(chi2_sf_1df(3.841458820694124) - 0.05) < 1e-9
     assert abs(chi2_sf_1df(6.634896601021213) - 0.01) < 1e-9
     assert chi2_sf_1df(0.0) == 1.0
-
-
-# -- compare_runs --
-
-
-def test_compare_runs_identical_systems():
-    gold = [Y, N, M, Y]
-    comparison = compare_runs(gold, {"alpha": list(gold), "beta": list(gold)})
-    assert comparison["systems"]["alpha"]["macro_f1"] == 1.0
-    (pair,) = comparison["pairwise_mcnemar"]
-    assert pair["p_value"] == 1.0
-    assert pair["system_a"] == "alpha" and pair["system_b"] == "beta"
-
-
-def test_compare_runs_three_systems():
-    rng = random.Random(2)
-    gold = rng.choices(LABEL_ORDER, k=30)
-    preds = {name: rng.choices(LABEL_ORDER, k=30) for name in ("a", "b", "c")}
-    comparison = compare_runs(gold, preds)
-    assert len(comparison["systems"]) == 3
-    assert len(comparison["pairwise_mcnemar"]) == 3
-
-
-def test_compare_runs_includes_constant_baseline():
-    gold = [Y, Y, Y, N, M, Y, Y, Y, Y, Y]
-    majority = [Y] * len(gold)
-    comparison = compare_runs(gold, {"majority": majority})
-    report = comparison["systems"]["majority"]
-    assert report["per_label"]["yes"]["recall"] == 1.0
-    assert report["per_label"]["no"]["f1"] == 0.0
 
 
 def test_align_for_scoring_policies():

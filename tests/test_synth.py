@@ -1,7 +1,8 @@
+import hashlib
 from collections import Counter
 
-from ynkit.corpus import Label
-from ynkit.distant import balance_dataset, extract_distant_instances, label_direct_answer
+from ynkit.corpus import Label, save_corpus
+from ynkit.distant import balance_dataset, extract_distant_instances, label_direct_answer, write_instances
 from ynkit.qid import (
     AUXILIARY_VERBS,
     NO_KEYWORDS,
@@ -90,6 +91,25 @@ def test_generator_deterministic():
     assert a.test == b.test
     assert a.corpus == b.corpus
     assert a.latent == b.latent
+
+
+# sha256 of the files save_corpus and write_instances write from
+# make_trend_bundle(SMALL); any change to a rate, a vocabulary or the
+# order of the RNG draws moves them
+SMALL_DIGESTS = {
+    "corpus.jsonl": "3a39b7bddc5bd8171b9a87bbdbd0a7b956df11f43bc08bebb009860d631b7a2d",
+    "gold.jsonl": "895fe1f562eb07e569fc0a3dda6d29bed024dccea9031624fefab20999d5efaf",
+    "test.jsonl": "bda187c293bb6864a5a40467a9d9bbd05ecbd911640d31ce682f618292a7475a",
+}
+
+
+def test_generator_output_is_pinned(tmp_path):
+    bundle = make_trend_bundle(SMALL)
+    save_corpus(bundle.corpus, tmp_path / "corpus.jsonl")
+    write_instances(bundle.gold, tmp_path / "gold.jsonl")
+    write_instances(bundle.test, tmp_path / "test.jsonl")
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in SMALL_DIGESTS}
+    assert digests == SMALL_DIGESTS
 
 
 def test_gold_and_test_label_mix():
