@@ -40,11 +40,6 @@ def round_half_away_from_zero(x: float) -> int:
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
 
 
-def gold_fraction(alpha: float, epoch_index: int) -> float:
-    """Fraction of gold instances for 1-based blending epoch epoch_index."""
-    return alpha ** (epoch_index - 1)
-
-
 def _rng(seed: int, *scope: object) -> random.Random:
     # str seeds hash deterministically across processes; tuple seeds do not
     return random.Random(":".join(str(part) for part in (seed, *scope)))
@@ -122,8 +117,7 @@ def build_blended_plan(
     capped = _apply_cap(distant, distant_cap, seed)
     plan_epochs = []
     for i in range(1, m + 1):
-        fraction = gold_fraction(alpha, i)
-        count = min(len(gold), round_half_away_from_zero(fraction * len(gold)))
+        count = min(len(gold), round_half_away_from_zero(alpha ** (i - 1) * len(gold)))
         subset = _rng(seed, "gold", i).sample(list(gold), count)
         plan_epochs.append(_epoch(subset, list(capped), seed, i))
     for i in range(m + 1, m + n + 1):

@@ -30,6 +30,8 @@ def _read_config_file(path: str, known_keys: set[str]) -> dict[str, str]:
     known_keys is an error."""
     try:
         text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise YnkitError(f"config file not found: {path}") from None
     except UnicodeDecodeError as exc:
         raise YnkitError(f"{path}: not UTF-8 ({exc.reason})") from None
     values: dict[str, str] = {}
@@ -74,9 +76,10 @@ def _config_defaults(path: str, values: dict[str, str], parser: argparse.Argumen
     return defaults
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, handler) -> None:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--config", help="flat key=value config file")
+    parser.set_defaults(func=handler)
 
 
 def _log_effective(args: argparse.Namespace) -> None:
@@ -218,11 +221,20 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _read_pred_labels(path: str) -> list[Optional[Label]]:
-    """Labels of a predictions file in line order; null is unmapped."""
+def _read_pred_labels(path: str, gold: list[distant.QAInstance]) -> list[Optional[Label]]:
+    """Labels of a predictions file in line order; null is unmapped. A line
+    with an origin, as predict writes, must carry its gold instance's."""
     labels: list[Optional[Label]] = []
-    for where, obj in iter_jsonl(path):
+    for i, (where, obj) in enumerate(iter_jsonl(path)):
         value = _require(obj, "label", where)
+        origin = obj.get("origin")
+        if origin is not None and i < len(gold):
+            expected = distant.origin_to_dict(gold[i].origin_ids)
+            if origin != expected:
+                raise YnkitError(
+                    f"{where}: origin {_encode_sorted(origin)} is not gold instance {i + 1}'s, "
+                    f"{_encode_sorted(expected)}"
+                )
         try:
             labels.append(parse_label(value) if value is not None else None)
         except UnmappedLabelError as exc:
@@ -233,8 +245,9 @@ def _read_pred_labels(path: str) -> list[Optional[Label]]:
 def _cmd_evaluate(args) -> int:
     from . import evaluation
 
-    gold = [inst.label for inst in _read_labeled(args.gold, "every gold instance needs a label")]
-    preds = _read_pred_labels(args.pred)
+    gold_instances = _read_labeled(args.gold, "every gold instance needs a label")
+    gold = [inst.label for inst in gold_instances]
+    preds = _read_pred_labels(args.pred, gold_instances)
     gold_kept, pred_kept, excluded = evaluation.align_for_scoring(
         gold, preds, policy=args.unmapped
     )
@@ -242,7 +255,7 @@ def _cmd_evaluate(args) -> int:
     if excluded:
         report["excluded_unmapped"] = excluded
     if args.pred2:
-        preds2 = _read_pred_labels(args.pred2)
+        preds2 = _read_pred_labels(args.pred2, gold_instances)
         if any(p is None for p in preds) or any(p is None for p in preds2):
             raise YnkitError("mcnemar comparison requires fully mapped predictions")
         method = (
@@ -288,23 +301,31 @@ def _cmd_probe(args) -> int:
     return 0
 
 
-def _identify_args(p: argparse.ArgumentParser) -> None:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ynkit parser and its subparsers by name."""
+    parser = argparse.ArgumentParser(
+        prog="ynkit",
+        description="Yes-no question pipelines: identify, distill, plan, train, predict, evaluate, probe.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("identify", help="scan a corpus for yes-no questions")
     p.add_argument("--corpus", required=True)
     p.add_argument("--mode", choices=["relaxed", "strict", "acts"], default="relaxed")
     p.add_argument("--sample", type=int, default=200)
     p.add_argument("--out", required=True)
     p.add_argument("--audit")
+    _add_common(p, _cmd_identify)
 
-
-def _distill_args(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("distill", help="extract distant instances from strict matches")
     p.add_argument("--corpus", required=True)
     p.add_argument("--matches", required=True)
     p.add_argument("--balance", action="store_true")
     p.add_argument("--context-window", type=int, default=1)
     p.add_argument("--out", required=True)
+    _add_common(p, _cmd_distill)
 
-
-def _plan_args(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("plan", help="build a training curriculum")
     p.add_argument("--gold")
     p.add_argument("--distant")
     p.add_argument("--strategy", choices=["merged", "blended"], default="merged")
@@ -314,9 +335,9 @@ def _plan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int, default=5, help="epoch count for merged plans")
     p.add_argument("--cap", type=int)
     p.add_argument("--out", required=True)
+    _add_common(p, _cmd_plan)
 
-
-def _train_args(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("train", help="train the linear classifier on a plan")
     p.add_argument("--plan", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--lr", type=float, default=0.1)
@@ -324,24 +345,24 @@ def _train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--buckets", type=int, default=2**18)
     p.add_argument("--ngrams", default="1,2")
     p.add_argument("--fields", default="context,question,answer")
+    _add_common(p, _cmd_train)
 
-
-def _predict_args(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("predict", help="predict labels for instances")
     p.add_argument("--model", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
+    _add_common(p, _cmd_predict)
 
-
-def _evaluate_args(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("evaluate", help="score predictions against gold")
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--pred2")
     p.add_argument("--mcnemar", choices=["chi2", "exact"], default="chi2")
     p.add_argument("--unmapped", choices=["exclude", "wrong"], default="exclude")
     p.add_argument("--out", required=True)
+    _add_common(p, _cmd_evaluate)
 
-
-def _probe_args(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("probe", help="prompt a completion endpoint")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--shots", type=int, default=0)
     p.add_argument("--shot-examples", help="jsonl of labeled shot instances")
@@ -350,72 +371,28 @@ def _probe_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--endpoint", help="live endpoint URL")
     p.add_argument("--concurrency", type=int, default=1)
     p.add_argument("--out", required=True)
+    _add_common(p, _cmd_probe)
 
-
-# name -> (help, the subcommand's own arguments, handler)
-_SUBCOMMANDS = {
-    "identify": ("scan a corpus for yes-no questions", _identify_args, _cmd_identify),
-    "distill": ("extract distant instances from strict matches", _distill_args, _cmd_distill),
-    "plan": ("build a training curriculum", _plan_args, _cmd_plan),
-    "train": ("train the linear classifier on a plan", _train_args, _cmd_train),
-    "predict": ("predict labels for instances", _predict_args, _cmd_predict),
-    "evaluate": ("score predictions against gold", _evaluate_args, _cmd_evaluate),
-    "probe": ("prompt a completion endpoint", _probe_args, _cmd_probe),
-}
-
-
-def build_parser(
-    command: Optional[str] = None,
-) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The ynkit parser and its subparsers by name.
-
-    Every subcommand is listed, so usage, help and an unknown command's
-    error are the same either way; given a command, only that subcommand
-    gets its arguments, which is all a command line naming it can reach.
-    """
-    parser = argparse.ArgumentParser(
-        prog="ynkit",
-        description="Yes-no question pipelines: identify, distill, plan, train, predict, evaluate, probe.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments, handler) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if command in (None, name):
-            add_arguments(p)
-            _add_common(p)
-            p.set_defaults(func=handler)
     return parser, sub.choices
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-
+    parser, subparsers = build_parser()
     # pre-scan for --config so file values become defaults, flags still win
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
-    known, _ = probe.parse_known_args(argv)
-    if not known.config:
-        # the top-level parser has no option taking a value, so the first
-        # argument that is not an option names the subcommand
-        parser, _ = build_parser(next((a for a in argv if not a.startswith("-")), None))
-    else:
-        parser, registry = build_parser()  # a key may be any subcommand's
-        # -h and --config take no value a file can set: a file names no other file
-        known_keys = {a.dest for p in registry.values() for a in p._actions} - {"help", "config"}
-        try:
-            file_values = _read_config_file(known.config, known_keys)
-            for sub_parser in registry.values():
-                sub_parser.set_defaults(**_config_defaults(known.config, file_values, sub_parser))
-        except FileNotFoundError:
-            print(f"error: config file not found: {known.config}", file=sys.stderr)
-            return 1
-        except YnkitError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-
-    args = parser.parse_args(argv)
-    _log_effective(args)
+    config_path = probe.parse_known_args(argv)[0].config
     try:
+        if config_path:
+            # a key may be any subcommand's; -h and --config take no value a
+            # file can set: a file names no other file
+            known_keys = {a.dest for p in subparsers.values() for a in p._actions} - {"help", "config"}
+            file_values = _read_config_file(config_path, known_keys)
+            for sub_parser in subparsers.values():
+                sub_parser.set_defaults(**_config_defaults(config_path, file_values, sub_parser))
+        args = parser.parse_args(argv)
+        _log_effective(args)
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)

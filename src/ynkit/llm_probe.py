@@ -56,6 +56,13 @@ PROMPT_CLOSING_QUESTION = "Does the answer mean Yes, No or Middle?"
 # sent in this key order with every request, and hashed into every recording key
 GENERATION_PARAMS = {"temperature": 0.1, "top_p": 0.1, "max_tokens": 4}
 
+# LiveClient retries a failure that may pass MAX_RETRIES times, sleeping
+# BACKOFF_SECONDS, then twice that, and so on; each attempt waits at most
+# TIMEOUT_SECONDS for the endpoint
+MAX_RETRIES = 3
+BACKOFF_SECONDS = 1.0
+TIMEOUT_SECONDS = 60.0
+
 
 @dataclass(frozen=True)
 class PromptTemplate:
@@ -94,10 +101,6 @@ def build_prompt(instance: QAInstance, template: PromptTemplate = PromptTemplate
 class MappedResponse:
     raw: str
     label: Optional[Label]  # None means unmapped
-
-    @property
-    def is_unmapped(self) -> bool:
-        return self.label is None
 
 
 def map_response(raw: str) -> MappedResponse:
@@ -160,27 +163,6 @@ class ReplayClient:
         return f"replay:{self.path}"
 
 
-class RecordingClient:
-    """Wraps a live client and captures (digest -> completion) pairs."""
-
-    def __init__(self, inner: CompletionClient):
-        self.inner = inner
-        self.store: dict[str, str] = {}
-
-    def send(self, prompt: str) -> str:
-        completion = self.inner.send(prompt)
-        self.store[recording_key(prompt)] = completion
-        return completion
-
-    def identity(self) -> str:
-        return f"recording({self.inner.identity()})"
-
-    def save(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(
-            json.dumps(self.store, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
-
-
 class LiveClient:
     """HTTP POST client for a completion endpoint, over ``urllib.request``.
 
@@ -206,10 +188,7 @@ class LiveClient:
         self,
         endpoint: Optional[str] = None,
         api_key: Optional[str] = None,
-        max_retries: int = 3,
-        backoff_seconds: float = 1.0,
         sleeper: Callable[[float], None] = time.sleep,
-        timeout: float = 60.0,
     ):
         self.endpoint = endpoint or os.environ.get("YNKIT_LLM_ENDPOINT")
         if not self.endpoint:
@@ -222,10 +201,7 @@ class LiveClient:
                 f"with a host, got {self.endpoint!r}"
             )
         self.api_key = api_key or os.environ.get("YNKIT_LLM_API_KEY")
-        self.max_retries = max_retries
-        self.backoff_seconds = backoff_seconds
         self.sleeper = sleeper
-        self.timeout = timeout
         self._headers = {"Content-Type": "application/json"}
         if self.api_key:
             self._headers["Authorization"] = f"Bearer {self.api_key}"
@@ -233,14 +209,14 @@ class LiveClient:
     def send(self, prompt: str) -> str:
         body = json.dumps({"prompt": prompt, **GENERATION_PARAMS}).encode("utf-8")
         last_error: Optional[Exception] = None
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             if attempt:
-                self.sleeper(self.backoff_seconds * 2 ** (attempt - 1))
+                self.sleeper(BACKOFF_SECONDS * 2 ** (attempt - 1))
             request = urllib.request.Request(
                 self.endpoint, data=body, headers=self._headers, method="POST"
             )
             try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                with urllib.request.urlopen(request, timeout=TIMEOUT_SECONDS) as response:
                     status, raw = response.status, response.read()
             except urllib.error.HTTPError as exc:
                 exc.close()
@@ -270,7 +246,7 @@ class LiveClient:
             return completion
         raise TransportError(
             f"completion request to {self.endpoint} failed after "
-            f"{self.max_retries + 1} attempts: {last_error}"
+            f"{MAX_RETRIES + 1} attempts: {last_error}"
         )
 
     @staticmethod
@@ -309,7 +285,7 @@ def probe_benchmark(
         with ThreadPoolExecutor(max_workers=concurrency) as pool:
             completions = list(pool.map(client.send, prompts))
     responses = tuple(map_response(c) for c in completions)
-    unmapped = sum(1 for r in responses if r.is_unmapped)
+    unmapped = sum(1 for r in responses if r.label is None)
     manifest = {
         "client": client.identity(),
         "params": dict(GENERATION_PARAMS),

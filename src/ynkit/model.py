@@ -76,6 +76,8 @@ class TrainConfig:
             raise InvalidConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if not (math.isfinite(self.l2) and self.l2 >= 0):
             raise InvalidConfigError(f"l2 must be finite and non-negative, got {self.l2}")
+        if self.learning_rate * self.l2 >= 1:  # the per-step decay 1 - lr * l2 would not shrink
+            raise InvalidConfigError(f"learning_rate * l2 must be < 1, got {self.learning_rate * self.l2}")
         if self.num_buckets < 2 or self.num_buckets & (self.num_buckets - 1):
             raise InvalidConfigError("num_buckets must be a power of two >= 2")
         for f in self.fields_used:
@@ -275,6 +277,7 @@ def predict(model: LinearModel, instance: QAInstance) -> tuple[Label, dict[Label
     return LABEL_ORDER[int(np.argmax(probs))], dict(zip(LABEL_ORDER, probs.tolist()))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # weights that diverge raise below instead
 def train(plan: TrainingPlan, config: TrainConfig = TrainConfig()) -> LinearModel:
     """SGD over the plan's epochs in order, instance order as given.
 
@@ -341,11 +344,12 @@ def train(plan: TrainingPlan, config: TrainConfig = TrainConfig()) -> LinearMode
                 stored[indices] = rows - (lr / scale) * (values[:, None] * probs)
             bias -= lr * probs
 
-    return LinearModel(
-        weights=np.ascontiguousarray((stored * scale).T),
-        bias=bias,
-        feature_config=config,
-    )
+    weights = np.ascontiguousarray((stored * scale).T)
+    if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+        raise InvalidConfigError(
+            f"training diverged to weights that are not finite (learning_rate {lr}, l2 {config.l2})"
+        )
+    return LinearModel(weights=weights, bias=bias, feature_config=config)
 
 
 # -- serialization: one JSON container, exact round-trip --
@@ -406,6 +410,8 @@ def load_model(path: Union[str, Path]) -> LinearModel:
         len(columns) and not 0 <= columns[0] <= columns[-1] < config.num_buckets
     ):
         raise InvalidConfigError(f"{path}: damaged {_FORMAT} file: inconsistent shapes")
+    if not (np.isfinite(values).all() and np.isfinite(bias).all()):
+        raise InvalidConfigError(f"{path}: damaged {_FORMAT} file: weights or bias not finite")
     try:
         weights = np.zeros((len(LABEL_ORDER), config.num_buckets), dtype=np.float64)
     except (ValueError, MemoryError) as exc:  # num_buckets too large to allocate

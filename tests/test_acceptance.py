@@ -12,12 +12,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from ynkit.blend import (
-    build_blended_plan,
-    build_gold_plan,
-    build_merged_plan,
-    round_half_away_from_zero,
-)
+from ynkit.blend import build_blended_plan, round_half_away_from_zero
 from ynkit.cli import main
 from ynkit.corpus import LABEL_ORDER, Label
 from ynkit.distant import balance_dataset, extract_distant_instances, read_instances
@@ -29,10 +24,11 @@ from ynkit.llm_probe import (
     map_response,
     probe_benchmark,
 )
-from ynkit.model import TrainConfig, predict_proba, train
+from ynkit.model import TrainConfig
 from ynkit.qid import scan_corpus
 from ynkit.synth import SynthConfig, make_trend_bundle
 from oracles import max_relative_error, naive_kappa, naive_macro_f1, naive_per_label_f1, train_step_gradients
+from trend_robustness import trend_scores
 from util import random_corpus
 
 Y, N, M = Label.YES, Label.NO, Label.MIDDLE
@@ -198,41 +194,12 @@ def test_criterion_5_gradient_correctness():
 
 
 TREND_SEED = 13
-TREND_EPOCHS = 6
-TREND_BLEND = dict(alpha=0.2, m=4, n=2, seed=TREND_SEED)
-TREND_TRAIN = TrainConfig(ngram_orders=(1,), fields_used=("answer",))
-
-
-def _trend_models():
-    bundle = make_trend_bundle(SynthConfig(seed=TREND_SEED))
-    matches, _ = scan_corpus(bundle.corpus, "strict", sample_size=0, seed=TREND_SEED)
-    distant = balance_dataset(
-        extract_distant_instances(bundle.corpus, matches), seed=TREND_SEED
-    )
-    assert len(bundle.gold) == 2000
-    assert len(distant) == 8000
-    assert len(bundle.test) == 600
-    plans = {
-        "gold_only": build_gold_plan(bundle.gold, TREND_EPOCHS, TREND_SEED),
-        "merged": build_merged_plan(bundle.gold, distant, TREND_EPOCHS, TREND_SEED),
-        "capped": build_merged_plan(
-            bundle.gold, distant, TREND_EPOCHS, TREND_SEED, distant_cap=len(bundle.gold)
-        ),
-        "blended": build_blended_plan(bundle.gold, distant, **TREND_BLEND),
-    }
-    gold_labels = [inst.label for inst in bundle.test]
-    macro = {}
-    for name, plan in plans.items():
-        model = train(plan, TREND_TRAIN)
-        winners = predict_proba(model, bundle.test).argmax(axis=1).tolist()
-        preds = [LABEL_ORDER[i] for i in winners]
-        macro[name] = score(gold_labels, preds).macro_f1
-    return macro
 
 
 def test_criterion_6_trend_replication():
     with criterion(6, "blended >= merged >= gold-only; cap ablation within 0.05", 120.0):
-        macro = _trend_models()
+        macro = trend_scores(TREND_SEED)
+        assert (macro["gold_size"], macro["distant_size"], macro["test_size"]) == (2000, 8000, 600)
         assert macro["blended"] >= macro["merged"] >= macro["gold_only"], macro
         assert abs(macro["capped"] - macro["merged"]) <= 0.05, macro
 

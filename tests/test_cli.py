@@ -210,6 +210,11 @@ def test_config_file_missing(tmp_path, capsys):
     assert "config file not found" in capsys.readouterr().err
 
 
+def test_config_that_is_a_directory_is_one_error_line(tmp_path, capsys):
+    rc = main(["identify", "--corpus", "x.jsonl", "--config", str(tmp_path), "--out", "m.jsonl"])
+    _assert_one_line_error(rc, capsys.readouterr().err, f"error: {tmp_path}: Is a directory")
+
+
 def test_evaluate_with_two_systems(fixture_corpus_path, tmp_path):
     outputs = _run_pipeline(fixture_corpus_path, tmp_path)
     report2 = tmp_path / "report2.json"
@@ -221,6 +226,18 @@ def test_evaluate_with_two_systems(fixture_corpus_path, tmp_path):
     report = json.loads(report2.read_text())
     assert report["mcnemar"]["p_value"] == 1.0
     assert report["mcnemar"]["method"] == "exact_binomial"
+
+
+def test_evaluate_refuses_predictions_out_of_gold_order(trained_pipeline, tmp_path, capsys):
+    lines = trained_pipeline["preds"].read_text().splitlines(keepends=True)
+    reversed_preds = tmp_path / "preds.jsonl"
+    reversed_preds.write_text("".join(reversed(lines)))
+    report = tmp_path / "report.json"
+    for pred, pred2 in ((reversed_preds, trained_pipeline["preds"]), (trained_pipeline["preds"], reversed_preds)):
+        rc = main(["evaluate", "--gold", str(trained_pipeline["distant"]), "--pred", str(pred),
+                   "--pred2", str(pred2), "--out", str(report)])
+        _assert_one_line_error(rc, capsys.readouterr().err, f"error: {reversed_preds}: line 1: origin ")
+    assert not report.exists()
 
 
 def test_probe_replay_subcommand(data_dir, tmp_path, capsys):
@@ -241,7 +258,7 @@ def test_probe_replay_subcommand(data_dir, tmp_path, capsys):
 def test_probe_with_shots_replay(data_dir, tmp_path):
     from ynkit.corpus import Label
     from ynkit.distant import QAInstance, read_instances, write_instances
-    from ynkit.llm_probe import PromptTemplate, RecordingClient, probe_benchmark
+    from ynkit.llm_probe import PromptTemplate, build_prompt, recording_key
 
     shots_path = tmp_path / "shots.jsonl"
     shots = [
@@ -252,21 +269,12 @@ def test_probe_with_shots_replay(data_dir, tmp_path):
     ]
     write_instances(shots, shots_path)
 
-    class Stub:
-        def send(self, prompt):
-            return "Middle"
-
-        def identity(self):
-            return "stub"
-
     template = PromptTemplate(
         shot_examples=tuple((s.question, s.answer, s.label) for s in shots)
     )
     instances = read_instances(data_dir / "probe_demo.jsonl")
-    recorder = RecordingClient(Stub())
-    probe_benchmark(instances, template, 2, recorder)
     store = tmp_path / "store.json"
-    recorder.save(store)
+    store.write_text(json.dumps({recording_key(build_prompt(inst, template, 2)): "Middle" for inst in instances}))
 
     out = tmp_path / "preds.jsonl"
     rc = main(
@@ -502,6 +510,7 @@ _BAD_NUMBERS = [
     ("train", ["--lr", "nan"], "learning_rate must be finite and positive, got nan"),
     ("train", ["--l2", "nan"], "l2 must be finite and non-negative, got nan"),
     ("train", ["--lr", "inf"], "learning_rate must be finite and positive, got inf"),
+    ("train", ["--lr", "1", "--l2", "2"], "learning_rate * l2 must be < 1, got 2.0"),
     ("train", ["--buckets", "3"], "num_buckets must be a power of two >= 2"),
     ("train", ["--buckets", str(2**62)], f"num_buckets {2**62} cannot be allocated"),
     ("plan", ["--cap", "0"], "distant_cap must be > 0, got 0"),

@@ -21,7 +21,6 @@ from ynkit.llm_probe import (
     GENERATION_PARAMS,
     LiveClient,
     PromptTemplate,
-    RecordingClient,
     ReplayClient,
     build_prompt,
     map_response,
@@ -128,7 +127,6 @@ def test_probe_benchmark_with_stub():
 
 
 def test_record_then_replay_round_trip(tmp_path):
-    recorder = RecordingClient(StubClient(["Yes", "Middle"]))
     instances = [
         TARGET,
         QAInstance(
@@ -140,9 +138,10 @@ def test_record_then_replay_round_trip(tmp_path):
             origin_ids=("x", "xq", "xa"),
         ),
     ]
-    live = probe_benchmark(instances, PromptTemplate(), 0, recorder)
+    live = probe_benchmark(instances, PromptTemplate(), 0, StubClient(["Yes", "Middle"]))
+    prompts = [build_prompt(inst, PromptTemplate(), 0) for inst in instances]
     store_path = tmp_path / "store.json"
-    recorder.save(store_path)
+    store_path.write_text(json.dumps({recording_key(p): r.raw for p, r in zip(prompts, live.responses)}))
     replayed = probe_benchmark(instances, PromptTemplate(), 0, ReplayClient(store_path))
     assert [r.label for r in replayed.responses] == [r.label for r in live.responses]
 
@@ -273,8 +272,8 @@ def endpoint(monkeypatch):
         assert set(json.loads(body)) == BODY_KEYS
 
 
-def _client(url, sleeps, **kwargs):
-    return LiveClient(endpoint=url, api_key="k", sleeper=sleeps.append, **kwargs)
+def _client(url, sleeps):
+    return LiveClient(endpoint=url, api_key="k", sleeper=sleeps.append)
 
 
 def test_live_client_payload_shapes(endpoint):
@@ -292,13 +291,13 @@ def test_live_client_payload_shapes(endpoint):
 
 
 def test_live_client_retries_then_fails(endpoint):
-    endpoint.script = [(503, b"busy")] * 3
+    endpoint.script = [(503, b"busy")] * 4
     sleeps = []
-    client = _client(endpoint.url, sleeps, max_retries=2, backoff_seconds=1.0)
-    with pytest.raises(TransportError, match="3 attempts: HTTP Error 503"):
+    client = _client(endpoint.url, sleeps)
+    with pytest.raises(TransportError, match="4 attempts: HTTP Error 503"):
         client.send("prompt")
-    assert len(endpoint.requests) == 3
-    assert sleeps == [1.0, 2.0]  # bounded exponential backoff
+    assert len(endpoint.requests) == 4
+    assert sleeps == [1.0, 2.0, 4.0]  # bounded exponential backoff
 
 
 def test_live_client_retries_refused_connection():
@@ -306,10 +305,10 @@ def test_live_client_retries_refused_connection():
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]  # closed again below: nothing listens there
     sleeps = []
-    client = _client(f"http://127.0.0.1:{port}/", sleeps, max_retries=2)
-    with pytest.raises(TransportError, match="3 attempts"):
+    client = _client(f"http://127.0.0.1:{port}/", sleeps)
+    with pytest.raises(TransportError, match="4 attempts"):
         client.send("prompt")
-    assert sleeps == [1.0, 2.0]
+    assert sleeps == [1.0, 2.0, 4.0]
 
 
 @pytest.mark.parametrize(
@@ -317,10 +316,11 @@ def test_live_client_retries_refused_connection():
     [(429, b"slow down"), (500, b"oops"), "drop", "truncate", "stall"],
     ids=["429", "500", "dropped", "incomplete_read", "timeout"],
 )
-def test_live_client_retries_what_can_recover(endpoint, step):
+def test_live_client_retries_what_can_recover(endpoint, step, monkeypatch):
+    monkeypatch.setattr(llm_probe, "TIMEOUT_SECONDS", 0.3)  # so the stall times out soon
     endpoint.script = [step]
     sleeps = []
-    client = _client(endpoint.url, sleeps, timeout=0.3)
+    client = _client(endpoint.url, sleeps)
     assert client.send("prompt") == _default_completion("prompt")
     assert len(endpoint.requests) == 2
     assert sleeps == [1.0]

@@ -419,6 +419,24 @@ def test_model_serialization_round_trip(tmp_path):
     assert load_model(path).feature_config == model.feature_config
 
 
+def test_non_finite_weights_are_refused_by_train_and_load_model(tmp_path):
+    plan = build_gold_plan(_toy_separable(3), 5, 0)
+    with pytest.raises(InvalidConfigError, match="learning_rate \\* l2 must be < 1, got 1.5"):
+        TrainConfig(learning_rate=1.0, l2=1.5)  # the decay 1 - lr * l2 would flip every weight's sign
+    for lr, l2 in ((1e300, 5e-301), (1.7e308, 0.0)):  # lr * l2 < 1, yet the steps overflow
+        with pytest.raises(InvalidConfigError, match="not finite"):
+            train(plan, TrainConfig(learning_rate=lr, l2=l2, num_buckets=2**10))
+    model = train(plan, TrainConfig(num_buckets=2**10))
+    path = tmp_path / "model.json"
+    save_model(replace(model, bias=np.array([np.nan, 0.0, 0.0])), path)
+    with pytest.raises(InvalidConfigError, match="model.json: damaged .* not finite"):
+        load_model(path)
+    model.weights[1, 3] = np.inf
+    save_model(model, path)
+    with pytest.raises(InvalidConfigError, match="model.json: damaged .* not finite"):
+        load_model(path)
+
+
 def test_load_model_rejects_other_files(tmp_path):
     path = tmp_path / "bogus.json"
     path.write_text('{"format": "something-else"}')

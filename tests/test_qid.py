@@ -1,3 +1,6 @@
+import json
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -252,6 +255,23 @@ def test_load_matches_names_file_and_line(fixture_corpus, tmp_path):
     path.write_text('{"question_turn_id": ["d01-t1"]}\n', encoding="utf-8")
     with pytest.raises(CorpusFormatError, match=f"{path}: line 1: question turn .* not in corpus"):
         load_matches(path, fixture_corpus)
+
+
+def test_load_matches_refuses_answer_or_dialogue_that_does_not_fit_the_question(fixture_corpus, tmp_path):
+    strict, _ = scan_corpus(fixture_corpus, "strict", sample_size=0, seed=0)
+    path = tmp_path / "matches.jsonl"
+    write_matches(strict, path)
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    question = records[0]["question_turn_id"]
+    for key, value, needle in [
+        ("answer_turn_id", "d03-t3", f"answer turn 'd03-t3' is not the turn after question turn '{question}'"),
+        ("answer_turn_id", question, f"answer turn '{question}' is not the turn after"),  # same dialogue
+        ("dialogue_id", "zzz", f"dialogue_id 'zzz' is not the dialogue of question turn '{question}'"),
+    ]:
+        damaged = [dict(records[0], **{key: value})] + records[1:]
+        path.write_text("".join(json.dumps(r) + "\n" for r in damaged), encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}: line 1: {re.escape(needle)}"):
+            load_matches(path, fixture_corpus)
 
 
 def test_audit_tsv_columns(fixture_corpus, tmp_path):
