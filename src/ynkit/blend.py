@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+from .corpus import first_line_without
 from .distant import QAInstance, read_instances, write_instances
-from .errors import EmptyPlanError, InvalidConfigError
+from .errors import InvalidConfigError
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,7 @@ def build_merged_plan(
     if epochs < 1:
         raise InvalidConfigError(f"epochs must be >= 1, got {epochs}")
     if not gold and not distant:
-        raise EmptyPlanError("merged plan needs at least one instance")
+        raise InvalidConfigError("merged plan needs at least one instance")
     capped = _apply_cap(distant, distant_cap, seed)
     plan_epochs = tuple(
         _epoch(list(gold), list(capped), seed, i) for i in range(1, epochs + 1)
@@ -140,7 +141,7 @@ def export_plan(plan: TrainingPlan, directory: Union[str, Path]) -> list[Path]:
     for identical inputs. Each distinct instance is serialized once per
     call, however many epochs repeat it."""
     if not plan.epochs:
-        raise EmptyPlanError("cannot export a plan with no epochs")
+        raise InvalidConfigError("cannot export a plan with no epochs")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
@@ -174,7 +175,7 @@ def load_plan(directory: Union[str, Path]) -> TrainingPlan:
     directory = Path(directory)
     plan_path = directory / "plan.json"
     if not plan_path.exists():
-        raise EmptyPlanError(f"no plan.json under {directory}")
+        raise InvalidConfigError(f"no plan.json under {directory}")
     try:
         manifest = json.loads(plan_path.read_text(encoding="utf-8"))
     except ValueError as exc:  # undecodable bytes or JSON
@@ -183,7 +184,7 @@ def load_plan(directory: Union[str, Path]) -> TrainingPlan:
     if not isinstance(sizes, list):
         raise InvalidConfigError(f"{plan_path}: no epoch_sizes list")
     if not sizes:
-        raise EmptyPlanError(f"{plan_path}: lists no epochs")
+        raise InvalidConfigError(f"{plan_path}: lists no epochs")
     gold_counts = manifest.get("gold_counts")
     if not isinstance(gold_counts, list):
         raise InvalidConfigError(f"{plan_path}: no gold_counts list")
@@ -205,6 +206,8 @@ def load_plan(directory: Union[str, Path]) -> TrainingPlan:
             raise InvalidConfigError(
                 f"{path}: {len(instances)} rows, plan.json lists {size}"
             )
+        if any(inst.label is None for inst in instances):
+            raise InvalidConfigError(f"{first_line_without(path, 'label')}: every plan row needs a label")
         if type(gold_count) is not int or not 0 <= gold_count <= size:  # bool is not int
             raise InvalidConfigError(
                 f"{plan_path}: gold_counts[{i}] must be an integer in [0, {size}], "

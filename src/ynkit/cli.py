@@ -15,8 +15,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import distant, qid
-from .corpus import LABEL_ORDER, Label, _require, iter_jsonl, load_corpus, parse_label
-from .errors import CorpusFormatError, InvalidConfigError, MalformedMatchError, UnmappedLabelError, YnkitError
+from .corpus import LABEL_ORDER, Label, _require, first_line_without, iter_jsonl, load_corpus, parse_label
+from .errors import CorpusFormatError, InvalidConfigError, YnkitError
 
 DEFAULT_SEED = 1729  # fixed so bare runs are reproducible; override with --seed
 
@@ -109,17 +109,11 @@ def _cmd_identify(args) -> int:
     return 0
 
 
-def _first_line_without(path: str, key: str) -> str:
-    """The "{path}: line N" of the first record in path whose key is absent
-    or null; the readers keep no line numbers, so this reads path again."""
-    return next(where for where, obj in iter_jsonl(path) if obj.get(key) is None)
-
-
 def _read_labeled(path: str, message: str) -> list[distant.QAInstance]:
     """The instances of path; one with no label is an error naming its line."""
     instances = distant.read_instances(path)
     if any(inst.label is None for inst in instances):
-        raise YnkitError(f"{_first_line_without(path, 'label')}: {message}")
+        raise YnkitError(f"{first_line_without(path, 'label')}: {message}")
     return instances
 
 
@@ -128,8 +122,8 @@ def _cmd_distill(args) -> int:
     matches = qid.load_matches(args.matches, corpus)
     try:
         instances = distant.extract_distant_instances(corpus, matches, args.context_window)
-    except MalformedMatchError as exc:  # a relaxed match with no reply
-        raise YnkitError(f"{_first_line_without(args.matches, 'answer_turn_id')}: {exc}") from None
+    except CorpusFormatError as exc:  # a relaxed match with no reply
+        raise YnkitError(f"{first_line_without(args.matches, 'answer_turn_id')}: {exc}") from None
     if args.balance:
         instances = distant.balance_dataset(instances, seed=args.seed)
     distant.write_instances(instances, args.out)
@@ -221,14 +215,17 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _read_pred_labels(path: str, gold: list[distant.QAInstance]) -> list[Optional[Label]]:
-    """Labels of a predictions file in line order; null is unmapped. A line
-    with an origin, as predict writes, must carry its gold instance's."""
+def _read_pred_labels(path: str, gold: list[distant.QAInstance], gold_path: str) -> list[Optional[Label]]:
+    """Labels of a predictions file in line order, one per gold instance;
+    null is unmapped. A line with an origin, as predict writes, must carry
+    its gold instance's."""
     labels: list[Optional[Label]] = []
     for i, (where, obj) in enumerate(iter_jsonl(path)):
+        if i == len(gold):
+            raise CorpusFormatError(f"{where}: more predictions than the {len(gold)} instances of {gold_path}")
         value = _require(obj, "label", where)
         origin = obj.get("origin")
-        if origin is not None and i < len(gold):
+        if origin is not None:
             expected = distant.origin_to_dict(gold[i].origin_ids)
             if origin != expected:
                 raise YnkitError(
@@ -237,8 +234,10 @@ def _read_pred_labels(path: str, gold: list[distant.QAInstance]) -> list[Optiona
                 )
         try:
             labels.append(parse_label(value) if value is not None else None)
-        except UnmappedLabelError as exc:
+        except CorpusFormatError as exc:
             raise CorpusFormatError(f"{where}: {exc}") from None
+    if len(labels) < len(gold):
+        raise CorpusFormatError(f"{path}: {len(labels)} predictions for the {len(gold)} instances of {gold_path}")
     return labels
 
 
@@ -247,7 +246,7 @@ def _cmd_evaluate(args) -> int:
 
     gold_instances = _read_labeled(args.gold, "every gold instance needs a label")
     gold = [inst.label for inst in gold_instances]
-    preds = _read_pred_labels(args.pred, gold_instances)
+    preds = _read_pred_labels(args.pred, gold_instances, args.gold)
     gold_kept, pred_kept, excluded = evaluation.align_for_scoring(
         gold, preds, policy=args.unmapped
     )
@@ -255,7 +254,7 @@ def _cmd_evaluate(args) -> int:
     if excluded:
         report["excluded_unmapped"] = excluded
     if args.pred2:
-        preds2 = _read_pred_labels(args.pred2, gold_instances)
+        preds2 = _read_pred_labels(args.pred2, gold_instances, args.gold)
         if any(p is None for p in preds) or any(p is None for p in preds2):
             raise YnkitError("mcnemar comparison requires fully mapped predictions")
         method = (

@@ -23,7 +23,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
-from .errors import CorpusFormatError, UnmappedLabelError
+from .errors import CorpusFormatError, InvalidConfigError
 
 
 class Label(str, enum.Enum):
@@ -47,7 +47,7 @@ _LABELS_BY_VALUE = {label.value: label for label in Label}
 def parse_label(value: str) -> Label:
     label = _LABELS_BY_VALUE.get(str(value).lower())
     if label is None:
-        raise UnmappedLabelError(f"not a valid label: {value!r}")
+        raise CorpusFormatError(f"not a valid label: {value!r}")
     return label
 
 
@@ -206,6 +206,12 @@ def iter_jsonl(
             if memo is not None:
                 memo[raw] = value
             yield where, value
+
+
+def first_line_without(path: Union[str, Path], key: str) -> str:
+    """The "{path}: line N" of the first record in path whose key is absent
+    or null; the readers keep no line numbers, so this reads path again."""
+    return next(where for where, obj in iter_jsonl(path) if obj.get(key) is None)
 
 
 def _require(obj: dict, key: str, where: str):
@@ -386,7 +392,7 @@ def read_label_map(path: Union[str, Path]) -> dict[str, Optional[Label]]:
             source, target = parts
             key = target.strip().lower()
             if key not in _MAP_TARGETS:
-                raise UnmappedLabelError(
+                raise CorpusFormatError(
                     f"{path}: line {lineno}: label map target must be "
                     f"yes/no/middle/discard, got {target!r}"
                 )
@@ -397,7 +403,7 @@ def read_label_map(path: Union[str, Path]) -> dict[str, Optional[Label]]:
 def normalize_label(source_label: str, label_map: dict[str, Optional[Label]]) -> Optional[Label]:
     """Map a fine-grained source label to Label, or None for Discard."""
     if source_label not in label_map:
-        raise UnmappedLabelError(f"no mapping for source label {source_label!r}")
+        raise CorpusFormatError(f"no mapping for source label {source_label!r}")
     return label_map[source_label]
 
 
@@ -407,5 +413,5 @@ def bundled_label_map(name: str) -> dict[str, Optional[Label]]:
     path = data_dir / f"{name}_label_map.tsv"
     if not path.exists():
         available = sorted(p.stem.replace("_label_map", "") for p in data_dir.glob("*_label_map.tsv"))
-        raise UnmappedLabelError(f"no bundled label map {name!r}; available: {available}")
+        raise InvalidConfigError(f"no bundled label map {name!r}; available: {available}")
     return read_label_map(path)

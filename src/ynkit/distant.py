@@ -15,13 +15,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from .corpus import Corpus, Label, iter_jsonl, parse_label
-from .errors import (
-    CorpusFormatError,
-    InvalidConfigError,
-    MalformedMatchError,
-    UnlabeledInstanceError,
-    UnmappedLabelError,
-)
+from .errors import CorpusFormatError, InvalidConfigError
 from .qid import NO_KEYWORDS, YES_KEYWORDS, QidMatch, answer_window_tokens
 
 
@@ -76,7 +70,7 @@ def extract_distant_instances(
     instances = []
     for match in matches:
         if match.answer is None:
-            raise MalformedMatchError(
+            raise CorpusFormatError(
                 f"match on turn {match.question.turn_id!r} has no answer turn"
             )
         label = label_direct_answer(match.answer.text)
@@ -111,7 +105,7 @@ def balance_dataset(instances: list[QAInstance], seed: int) -> list[QAInstance]:
     if not instances:
         return []
     if any(inst.label is None for inst in instances):
-        raise UnlabeledInstanceError("balance_dataset requires labeled instances")
+        raise InvalidConfigError("balance_dataset requires labeled instances")
     ordered = sorted(instances, key=lambda inst: inst.origin_ids)
     groups: dict[Label, list[QAInstance]] = {}
     for inst in ordered:
@@ -195,7 +189,7 @@ def write_instances(
 def _parse_instance(where: str, obj: dict) -> QAInstance:
     try:
         return instance_from_dict(obj)
-    except (KeyError, TypeError, ValueError, UnmappedLabelError) as exc:
+    except (KeyError, TypeError, ValueError, CorpusFormatError) as exc:
         raise CorpusFormatError(f"{where}: bad instance record ({exc})") from None
 
 

@@ -1,8 +1,8 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, one per thing to change.
 
-Every domain failure raises a subclass of YnkitError so the CLI can map
-them to exit code 1 while genuine bugs still surface as ordinary
-exceptions.
+Every domain failure raises a subclass of YnkitError, which the CLI maps
+to one `error:` line and exit code 1, while genuine bugs still surface as
+ordinary exceptions.
 """
 
 
@@ -11,51 +11,16 @@ class YnkitError(Exception):
 
 
 class CorpusFormatError(YnkitError):
-    """Malformed JSONL input (corpus, matches, instances, predictions): bad
-    JSON, missing keys, duplicate ids, broken reply chains, or
-    non-consecutive ordinals."""
-
-
-class UnmappedLabelError(YnkitError):
-    """A source-corpus label has no entry in the fine-label map."""
-
-
-class NotAnnotatedError(YnkitError):
-    """Dialogue-act identification requested on unannotated input."""
-
-
-class MalformedMatchError(YnkitError):
-    """A question match lacks the answer turn required by the caller."""
+    """Something read from a file is wrong: bad JSON, a missing key or
+    label mapping, a match with no answer turn, a corpus with no dialogue
+    acts, a replay store with no recording for a prompt."""
 
 
 class InvalidConfigError(YnkitError):
-    """Configuration violates a documented precondition."""
-
-
-class EmptyPlanError(YnkitError):
-    """A training plan would contain no instances."""
-
-
-class UnlabeledInstanceError(YnkitError):
-    """Training requires a label that an instance does not carry."""
-
-
-class AlignmentError(YnkitError):
-    """Gold and prediction sequences differ in length."""
-
-
-class DegenerateMarginalsError(YnkitError):
-    """Cohen's kappa is undefined: expected agreement is 1 while
-    observed agreement is not."""
-
-
-class InsufficientShotsError(YnkitError):
-    """More prompt shots requested than worked examples available."""
-
-
-class MissingRecordingError(YnkitError):
-    """Replay client has no recording for the requested prompt."""
+    """An argument, flag or plan breaks a documented precondition: a value
+    out of range, an empty or unlabeled plan, sequences of unequal length,
+    more shots than worked examples."""
 
 
 class TransportError(YnkitError):
-    """Live completion endpoint unreachable after bounded retries."""
+    """The live completion endpoint failed, after bounded retries."""

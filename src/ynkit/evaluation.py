@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .corpus import LABEL_ORDER, Label
-from .errors import AlignmentError, DegenerateMarginalsError
+from .errors import InvalidConfigError
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,10 @@ class McNemarResult:
 def _check_aligned(*sequences: Sequence[Label]) -> int:
     lengths = {len(s) for s in sequences}
     if len(lengths) != 1:
-        raise AlignmentError(f"sequences differ in length: {sorted(lengths)}")
+        raise InvalidConfigError(f"sequences differ in length: {sorted(lengths)}")
     n = lengths.pop()
     if n < 1:
-        raise AlignmentError("need at least one scored instance")
+        raise InvalidConfigError("need at least one scored instance")
     return n
 
 
@@ -90,7 +90,7 @@ def align_for_scoring(
     if policy not in ("exclude", "wrong"):
         raise ValueError("policy must be 'exclude' or 'wrong'")
     if len(gold) != len(predicted):
-        raise AlignmentError(f"gold has {len(gold)} items, predictions {len(predicted)}")
+        raise InvalidConfigError(f"gold has {len(gold)} items, predictions {len(predicted)}")
     kept_gold: list[Label] = []
     kept_pred: list[Label] = []
     excluded = 0
@@ -156,15 +156,9 @@ def cohens_kappa(ann_a: Sequence[Label], ann_b: Sequence[Label]) -> KappaResult:
         pa = sum(1 for a in ann_a if a == label) / n
         pb = sum(1 for b in ann_b if b == label) / n
         expected += pa * pb
-    if math.isclose(expected, 1.0, abs_tol=1e-15):
-        if math.isclose(observed, 1.0, abs_tol=1e-15):
-            kappa = 1.0
-        else:
-            raise DegenerateMarginalsError(
-                "expected agreement is 1 while observed agreement is not"
-            )
-    else:
-        kappa = (observed - expected) / (1.0 - expected)
+    # expected is 1 only when both annotators use one and the same label
+    # throughout, so observed is 1 too; otherwise it is at most 1 - 1/n
+    kappa = 1.0 if expected == 1.0 else (observed - expected) / (1.0 - expected)
 
     disagreements = [(a, b) for a, b in zip(ann_a, ann_b) if a != b]
     breakdown: dict[tuple[Label, Label], float] = {}

@@ -5,7 +5,8 @@ examples, and the target question/answer pair, ending at "### Response:".
 Completions map back to labels by whole-token scan; anything with zero or
 several distinct label tokens counts as unmapped.
 
-Clients implement send(prompt) -> str, sampling with GENERATION_PARAMS.
+A client provides send(prompt) -> str, sampling with GENERATION_PARAMS,
+and identity() -> str, which names it in the probe manifest.
 The replay client serves recorded completions keyed by a digest of
 (prompt, GENERATION_PARAMS), so a change of parameters invalidates
 recordings, and test runs never touch the network. The
@@ -28,16 +29,11 @@ import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Protocol, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .corpus import Label, tokenize
 from .distant import QAInstance
-from .errors import (
-    InsufficientShotsError,
-    InvalidConfigError,
-    MissingRecordingError,
-    TransportError,
-)
+from .errors import CorpusFormatError, InvalidConfigError, TransportError
 
 PROMPT_PREAMBLE = (
     "Below is an instruction and a yes-no question-answer pair input. "
@@ -87,7 +83,7 @@ def build_prompt(instance: QAInstance, template: PromptTemplate = PromptTemplate
     if shots < 0:
         raise InvalidConfigError(f"shots must be >= 0, got {shots}")
     if shots > len(template.shot_examples):
-        raise InsufficientShotsError(
+        raise InvalidConfigError(
             f"requested {shots} shots but template has {len(template.shot_examples)} examples"
         )
     parts = [PROMPT_PREAMBLE, f"### Instruction: {PROMPT_INSTRUCTION}"]
@@ -122,12 +118,6 @@ def _is_http_url(url: str) -> bool:
     return parts.scheme in ("http", "https") and bool(parts.hostname)
 
 
-class CompletionClient(Protocol):
-    def send(self, prompt: str) -> str: ...
-
-    def identity(self) -> str: ...
-
-
 def recording_key(prompt: str) -> str:
     payload = json.dumps(
         {"prompt": prompt, "params": GENERATION_PARAMS}, sort_keys=True
@@ -156,7 +146,7 @@ class ReplayClient:
     def send(self, prompt: str) -> str:
         key = recording_key(prompt)
         if key not in self.store:
-            raise MissingRecordingError(f"no recording for prompt digest {key}")
+            raise CorpusFormatError(f"no recording for prompt digest {key}")
         return self.store[key]
 
     def identity(self) -> str:
@@ -273,7 +263,7 @@ def probe_benchmark(
     instances: Sequence[QAInstance],
     template: PromptTemplate,
     shots: int,
-    client: CompletionClient,
+    client,
     concurrency: int = 1,
 ) -> ProbeResult:
     """One mapped response per instance, in input order regardless of

@@ -44,7 +44,7 @@ import numpy as np
 from .blend import TrainingPlan
 from .corpus import LABEL_ORDER, Label, lowered_tokens
 from .distant import QAInstance
-from .errors import EmptyPlanError, InvalidConfigError, UnlabeledInstanceError
+from .errors import InvalidConfigError
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -288,7 +288,7 @@ def train(plan: TrainingPlan, config: TrainConfig = TrainConfig()) -> LinearMode
     from contiguous memory, once.
     """
     if not plan.epochs or all(len(e.instances) == 0 for e in plan.epochs):
-        raise EmptyPlanError("training plan contains no instances")
+        raise InvalidConfigError("training plan contains no instances")
     label_index = {label: i for i, label in enumerate(LABEL_ORDER)}
     try:
         stored = np.zeros((config.num_buckets, len(LABEL_ORDER)), dtype=np.float64)
@@ -309,7 +309,7 @@ def train(plan: TrainingPlan, config: TrainConfig = TrainConfig()) -> LinearMode
         for inst in epoch.instances:
             if id(inst) not in by_object:
                 if inst.label is None:
-                    raise UnlabeledInstanceError(
+                    raise InvalidConfigError(
                         f"unlabeled instance with origin {inst.origin_ids}"
                     )
                 slot = slot_of_texts.setdefault(_field_texts(inst, config.fields_used), len(distinct))

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .corpus import Corpus, Turn, _require, iter_jsonl, lowered_tokens, split_sentences
-from .errors import CorpusFormatError, InvalidConfigError, NotAnnotatedError
+from .errors import CorpusFormatError, InvalidConfigError
 
 AUXILIARY_VERBS = frozenset(
     {
@@ -111,7 +111,7 @@ def has_direct_answer(next_turn: Turn) -> bool:
 def identify_by_dialogue_acts(turn: Turn) -> bool:
     """Exact-string match of the turn's gold dialogue act against YES_NO_ACTS."""
     if turn.dialogue_act is None:
-        raise NotAnnotatedError(
+        raise CorpusFormatError(
             f"turn {turn.turn_id!r} carries no dialogue-act annotation"
         )
     return turn.dialogue_act in YES_NO_ACTS
@@ -136,7 +136,7 @@ def scan_corpus(
         raise InvalidConfigError(f"sample_size must be >= 0, got {sample_size}")
     if mode == "dialogue_act":
         if all(t.dialogue_act is None for d in corpus for t in d.turns):
-            raise NotAnnotatedError("corpus carries no dialogue-act annotations")
+            raise CorpusFormatError("corpus carries no dialogue-act annotations")
 
     matches: list[QidMatch] = []
     for dialogue in corpus:

@@ -1,12 +1,8 @@
-import sys
 from pathlib import Path
 
 import pytest
 
 from ynkit.corpus import load_corpus
-
-sys.path.insert(0, str(Path(__file__).parent))  # for the oracles module
-sys.path.insert(0, str(Path(__file__).parent.parent / "scripts"))  # for trend_robustness
 
 DATA_DIR = Path(__file__).parent.parent / "src" / "ynkit" / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"

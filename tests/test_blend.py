@@ -16,7 +16,7 @@ from ynkit.blend import (
 )
 from ynkit.corpus import Label
 from ynkit.distant import QAInstance, read_instances
-from ynkit.errors import CorpusFormatError, EmptyPlanError, InvalidConfigError
+from ynkit.errors import CorpusFormatError, InvalidConfigError
 
 from oracles import plan_instances_digest
 
@@ -72,7 +72,7 @@ def test_merged_without_distant_equals_gold_plan():
 
 
 def test_empty_plan_rejected():
-    with pytest.raises(EmptyPlanError):
+    with pytest.raises(InvalidConfigError, match="merged plan needs at least one instance"):
         build_merged_plan([], [], epochs=1, seed=0)
 
 
@@ -245,7 +245,7 @@ def test_load_plan_damaged_copy_of_accepted_row_names_its_line(tmp_path, damage)
 
 
 def test_load_plan_missing_dir(tmp_path):
-    with pytest.raises(EmptyPlanError):
+    with pytest.raises(InvalidConfigError, match="no plan.json under .*nope"):
         load_plan(tmp_path / "nope")
 
 
@@ -297,5 +297,5 @@ def test_export_empty_plan_rejected(tmp_path):
     from ynkit.blend import TrainingPlan
 
     hollow = TrainingPlan(epochs=(), provenance={})
-    with pytest.raises(EmptyPlanError):
+    with pytest.raises(InvalidConfigError, match="cannot export a plan with no epochs"):
         export_plan(hollow, tmp_path)

@@ -240,6 +240,27 @@ def test_evaluate_refuses_predictions_out_of_gold_order(trained_pipeline, tmp_pa
     assert not report.exists()
 
 
+@pytest.mark.parametrize("flag", ["--pred", "--pred2"])
+@pytest.mark.parametrize("length", ["truncated", "extended"])
+def test_evaluate_names_a_predictions_file_of_the_wrong_length(trained_pipeline, tmp_path, capsys, flag, length):
+    gold = trained_pipeline["distant"]
+    lines = trained_pipeline["preds"].read_text().splitlines(keepends=True)
+    n = len(lines)
+    damaged = tmp_path / "preds.jsonl"
+    damaged.write_text("".join(lines[:3] if length == "truncated" else lines + lines[:1]))
+    inputs = {"--pred": str(trained_pipeline["preds"]), "--pred2": str(trained_pipeline["preds"]),
+              flag: str(damaged)}
+    rc = main(["evaluate", "--gold", str(gold), "--pred", inputs["--pred"], "--pred2", inputs["--pred2"],
+               "--out", str(tmp_path / "report.json")])
+    needle = (
+        f"error: {damaged}: 3 predictions for the {n} instances of {gold}"
+        if length == "truncated"
+        else f"error: {damaged}: line {n + 1}: more predictions than the {n} instances of {gold}"
+    )
+    _assert_one_line_error(rc, capsys.readouterr().err, needle)
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_probe_replay_subcommand(data_dir, tmp_path, capsys):
     out = tmp_path / "probe_preds.jsonl"
     rc = main(
@@ -368,6 +389,18 @@ def test_plan_names_the_line_of_an_unlabeled_instance(trained_pipeline, tmp_path
         rc, capsys.readouterr().err, f"error: {damaged}: line 3: every {role} instance needs a label"
     )
     assert not (tmp_path / "plan").exists()
+
+
+def test_train_names_the_line_of_an_unlabeled_plan_row(trained_pipeline, tmp_path, capsys):
+    plandir = tmp_path / "plan"
+    shutil.copytree(trained_pipeline["plandir"], plandir)
+    epoch = plandir / "epoch_001.jsonl"
+    first, second, *rest = epoch.read_text().splitlines(keepends=True)
+    unlabeled = {**json.loads(second), "label": None, "source": "gold"}
+    epoch.write_text(first + json.dumps(unlabeled) + "\n" + "".join(rest))
+    rc = main(["train", "--plan", str(plandir), "--out", str(tmp_path / "m.json")])
+    _assert_one_line_error(rc, capsys.readouterr().err, f"error: {epoch}: line 2: every plan row needs a label")
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_distill_names_the_line_of_a_match_with_no_answer(fixture_corpus_path, tmp_path, capsys):
@@ -756,8 +789,14 @@ def _mutate(line: bytes, mutation: str, keys, types, data) -> bytes:
     return line[:position] + b"\xff" + line[position:]
 
 
-@pytest.mark.parametrize("mutation", ["invalid_json", "not_object", "missing_key", "wrong_type", "not_utf8"])
-@pytest.mark.parametrize("kind", sorted(_INPUT_KINDS))
+@pytest.mark.parametrize(
+    "kind, mutation",
+    [
+        *((kind, mutation) for kind in sorted(_INPUT_KINDS)
+          for mutation in ("invalid_json", "not_object", "missing_key", "wrong_type", "not_utf8")),
+        ("predictions", "duplicate_line"),  # the other kinds accept a repeated line by design
+    ],
+)
 @settings(max_examples=3, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_malformed_input_line_is_one_error_naming_file_and_line(
@@ -775,7 +814,12 @@ def test_malformed_input_line_is_one_error_naming_file_and_line(
             path = path / "epoch_001.jsonl"
         lines = path.read_bytes().splitlines()
         index = data.draw(st.integers(0, len(lines) - 1), label="line index")
-        lines[index] = _mutate(lines[index], mutation, keys, types, data)
+        if mutation == "duplicate_line":
+            index = len(lines) - 1 - index  # the simplest draw copies the last line, which no line follows
+            lines.insert(index, lines[index])
+            index += 1  # the line after the copy is the first out of step with gold
+        else:
+            lines[index] = _mutate(lines[index], mutation, keys, types, data)
         path.write_bytes(b"\n".join(lines) + b"\n")
         stderr = io.StringIO()
         with contextlib.redirect_stderr(stderr):

@@ -20,7 +20,7 @@ from ynkit.corpus import (
     split_sentences,
     tokenize,
 )
-from ynkit.errors import CorpusFormatError, UnmappedLabelError
+from ynkit.errors import CorpusFormatError
 
 from oracles import naive_load_corpus
 
@@ -450,14 +450,14 @@ def test_normalize_label_probably_families():
 
 def test_normalize_label_unknown_raises():
     circa = bundled_label_map("circa")
-    with pytest.raises(UnmappedLabelError, match="Banana"):
+    with pytest.raises(CorpusFormatError, match="no mapping for source label 'Banana'"):
         normalize_label("Banana", circa)
 
 
 def test_label_map_rejects_bad_target(tmp_path):
     path = tmp_path / "map.tsv"
     path.write_text("# source\ttarget\nYes\tyes\nSure\taffirmative\n", encoding="utf-8")
-    with pytest.raises(UnmappedLabelError, match=r"map\.tsv: line 3: .*'affirmative'"):
+    with pytest.raises(CorpusFormatError, match=r"map\.tsv: line 3: .*'affirmative'"):
         read_label_map(path)
 
 

@@ -14,7 +14,7 @@ from ynkit.distant import (
     read_instances,
     write_instances,
 )
-from ynkit.errors import CorpusFormatError, MalformedMatchError, UnlabeledInstanceError
+from ynkit.errors import CorpusFormatError, InvalidConfigError
 from ynkit.qid import QidMatch, has_direct_answer, scan_corpus
 from util import random_corpus
 
@@ -80,7 +80,7 @@ def test_extract_context_window(fixture_corpus):
 def test_extract_requires_answer_turn(fixture_corpus):
     question = fixture_corpus.dialogues[0].turns[1]
     bad = QidMatch(question=question, answer=None, mode="relaxed")
-    with pytest.raises(MalformedMatchError, match="d01-t1"):
+    with pytest.raises(CorpusFormatError, match="match on turn 'd01-t1' has no answer turn"):
         extract_distant_instances(fixture_corpus, [bad])
 
 
@@ -134,7 +134,7 @@ def test_balance_deterministic_and_submultiset():
 
 def test_balance_empty_and_unlabeled():
     assert balance_dataset([], seed=0) == []
-    with pytest.raises(UnlabeledInstanceError):
+    with pytest.raises(InvalidConfigError, match="balance_dataset requires labeled instances"):
         balance_dataset([_mk(None, 0, source="gold")], seed=0)
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ynkit.corpus import LABEL_ORDER, Label
-from ynkit.errors import AlignmentError
+from ynkit.errors import InvalidConfigError
 from ynkit.evaluation import (
     align_for_scoring,
     chi2_sf_1df,
@@ -48,9 +48,9 @@ def test_absent_label_policy_default_zero():
 
 
 def test_score_alignment_error():
-    with pytest.raises(AlignmentError):
+    with pytest.raises(InvalidConfigError, match=r"sequences differ in length: \[1, 2\]"):
         score([Y], [Y, N])
-    with pytest.raises(AlignmentError):
+    with pytest.raises(InvalidConfigError, match="need at least one scored instance"):
         score([], [])
 
 
@@ -243,5 +243,5 @@ def test_align_for_scoring_policies():
     assert excluded == 0
     assert len(kept_pred) == 3
     assert kept_pred[1] is not N  # scored as a wrong label
-    with pytest.raises(AlignmentError):
+    with pytest.raises(InvalidConfigError, match="gold has 2 items, predictions 3"):
         align_for_scoring(gold[:2], predicted, "exclude")

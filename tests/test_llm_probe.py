@@ -15,7 +15,7 @@ import ynkit
 from ynkit.cli import main
 from ynkit.corpus import Label
 from ynkit.distant import QAInstance
-from ynkit.errors import InsufficientShotsError, MissingRecordingError, TransportError
+from ynkit.errors import CorpusFormatError, InvalidConfigError, TransportError
 from ynkit import llm_probe
 from ynkit.llm_probe import (
     GENERATION_PARAMS,
@@ -72,7 +72,7 @@ def test_prompt_determinism():
 
 
 def test_insufficient_shots():
-    with pytest.raises(InsufficientShotsError):
+    with pytest.raises(InvalidConfigError, match="requested 1 shots but template has 0 examples"):
         build_prompt(TARGET, PromptTemplate(), 1)
 
 
@@ -151,7 +151,7 @@ def test_replay_miss_names_digest(tmp_path):
     store_path.write_text("{}")
     client = ReplayClient(store_path)
     expected = recording_key(build_prompt(TARGET, PromptTemplate(), 0))
-    with pytest.raises(MissingRecordingError, match=expected):
+    with pytest.raises(CorpusFormatError, match=f"no recording for prompt digest {expected}"):
         probe_benchmark([TARGET], PromptTemplate(), 0, client)
 
 

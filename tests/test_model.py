@@ -18,7 +18,7 @@ from ynkit.blend import (
 )
 from ynkit.corpus import LABEL_ORDER, Label, tokenize
 from ynkit.distant import QAInstance
-from ynkit.errors import InvalidConfigError, UnlabeledInstanceError
+from ynkit.errors import InvalidConfigError
 from ynkit.model import (
     FIELD_PREFIXES,
     LinearModel,
@@ -322,7 +322,7 @@ def test_unlabeled_instance_rejected():
         origin_ids=("dx", "qx", "ax"),
     )
     plan = build_gold_plan([good, bad], epochs=1, seed=0)
-    with pytest.raises(UnlabeledInstanceError, match="qx"):
+    with pytest.raises(InvalidConfigError, match="unlabeled instance with origin .*qx"):
         train(plan, TrainConfig())
 
 

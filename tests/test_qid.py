@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import ynkit.corpus as corpus_module
 import ynkit.qid as qid
 from ynkit.corpus import Corpus, Dialogue, Turn, tokenize
-from ynkit.errors import CorpusFormatError, NotAnnotatedError
+from ynkit.errors import CorpusFormatError
 from ynkit.qid import (
     AUXILIARY_VERBS,
     WH_WORDS,
@@ -77,7 +77,7 @@ def test_dialogue_act_examples():
     assert identify_by_dialogue_acts(_turn("x?", act="qy^d"))
     assert identify_by_dialogue_acts(_turn("x?", act="^g"))
     assert not identify_by_dialogue_acts(_turn("x?", act="sd"))
-    with pytest.raises(NotAnnotatedError):
+    with pytest.raises(CorpusFormatError, match="carries no dialogue-act annotation"):
         identify_by_dialogue_acts(_turn("x?"))
 
 
@@ -194,7 +194,8 @@ def test_scan_matches_memo_free_oracle(corpus):
     for mode in ("relaxed", "strict", "dialogue_act"):
         try:
             matches, _ = scan_corpus(corpus, mode, sample_size=0)
-        except NotAnnotatedError:
+        except CorpusFormatError as exc:
+            assert "carries no dialogue-act annotations" in str(exc)
             assert mode == "dialogue_act"
             assert all(t.dialogue_act is None for d in corpus for t in d.turns)
             continue
@@ -230,7 +231,7 @@ def test_sample_capped_at_match_count(fixture_corpus):
 
 def test_acts_mode_requires_annotations():
     corpus = random_corpus(7)  # no acts anywhere
-    with pytest.raises(NotAnnotatedError):
+    with pytest.raises(CorpusFormatError, match="corpus carries no dialogue-act annotations"):
         scan_corpus(corpus, "dialogue_act", sample_size=0, seed=0)
 
 
