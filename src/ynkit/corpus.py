@@ -161,6 +161,19 @@ def split_sentences(text: str) -> list[str]:
     return [part for part in _SENT_SPLIT_RE.split(normalized) if part]
 
 
+def _refusal(line: str) -> str:
+    """Why line is not a JSON object, worded by json.loads (a BOM too)."""
+    try:
+        json.loads(line)
+    except json.JSONDecodeError as exc:
+        return f"invalid JSON ({exc.msg})"
+    except ValueError as exc:  # a number too long to convert
+        return f"invalid JSON ({exc})"
+    except RecursionError:
+        return "invalid JSON (nested too deeply)"
+    return "expected a JSON object"
+
+
 def iter_jsonl(
     path: Union[str, Path],
     parse: Optional[Callable[[str, dict], object]] = None,
@@ -174,8 +187,12 @@ def iter_jsonl(
     bytes -> value), shared by the calls of one run, decodes and parses
     each distinct line once: a repeat yields the value of its first copy,
     whose bytes passed every check already.
+
+    Lines go straight to json's C scanner, without JSONDecoder.decode's
+    frame and regexes; its refusals are terse, so a line it refuses or
+    reads only a prefix of is decoded again by json.loads to word why.
     """
-    decode = json.JSONDecoder().decode
+    scan = json.JSONDecoder().scan_once
     prefix = f"{path}: line "
     with Path(path).open("rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -190,17 +207,13 @@ def iter_jsonl(
                 raise CorpusFormatError(f"{prefix}{lineno}: not UTF-8 ({exc.reason})") from None
             if line.isspace():  # a line read from a file is never empty
                 continue
+            body = line.strip(" \t\n\r")  # JSON's whitespace only, as decode skips
             try:
-                obj = decode(line)
-            except ValueError:
-                try:  # json.loads says why, naming a byte-order mark too
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CorpusFormatError(f"{prefix}{lineno}: invalid JSON ({exc.msg})") from None
-                except ValueError as exc:  # a number too long to convert
-                    raise CorpusFormatError(f"{prefix}{lineno}: invalid JSON ({exc})") from None
-            if type(obj) is not dict:
-                raise CorpusFormatError(f"{prefix}{lineno}: expected a JSON object")
+                obj, end = scan(body, 0)
+            except (StopIteration, ValueError, RecursionError):
+                end = -1
+            if end != len(body) or type(obj) is not dict:
+                raise CorpusFormatError(f"{prefix}{lineno}: {_refusal(line)}")
             where = prefix + str(lineno)
             value = obj if parse is None else parse(where, obj)
             if memo is not None:
@@ -292,6 +305,7 @@ def _load_corpus(path: Union[str, Path]) -> Corpus:
     seen_ids: set[str] = set()
     conversations: defaultdict[str, list[tuple]] = defaultdict(list)
     normalize = unicodedata.normalize
+    new_tuple = tuple.__new__
     for where, obj in iter_jsonl(path):
         try:
             turn_id, conv_id, speaker, text = _get_required(obj)
@@ -300,7 +314,8 @@ def _load_corpus(path: Union[str, Path]) -> Corpus:
         if not (type(turn_id) is type(conv_id) is type(speaker) is type(text) is str):
             key = next(key for key in _REQUIRED_KEYS if type(obj[key]) is not str)
             raise _wrong_type(where, key, "a string", obj[key])
-        text = normalize("NFC", text)
+        if not text.isascii():  # NFC leaves ASCII as it is
+            text = normalize("NFC", text)
         if not text or text.isspace():
             raise CorpusFormatError(f"{where}: turn {turn_id!r} has empty text")
         if turn_id in seen_ids:
@@ -342,9 +357,10 @@ def _load_corpus(path: Union[str, Path]) -> Corpus:
                 f"conversation {conv_id!r}: mixes explicit ordinals with "
                 f"reply_to ordering"
             )
+        # tuple.__new__ fills a Turn without its Python-level __new__
         turns = tuple(
             [
-                Turn(turn_id, conv_id, i, speaker, text, act)
+                new_tuple(Turn, (turn_id, conv_id, i, speaker, text, act))
                 for i, (turn_id, speaker, text, act, _, _) in enumerate(raw_turns)
             ]
         )

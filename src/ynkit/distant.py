@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
@@ -141,21 +142,26 @@ def instance_to_dict(inst: QAInstance) -> dict:
 
 def instance_from_dict(obj: dict) -> QAInstance:
     """Inverse of instance_to_dict; a field of the wrong type raises TypeError."""
-    context = [] if obj.get("context") is None else obj["context"]
-    origin = {} if obj.get("origin") is None else obj["origin"]
+    get = obj.get
+    context = get("context")
+    if context is None:
+        context = []
+    origin = get("origin")
+    if origin is None:
+        origin = {}
     if not isinstance(context, list) or not isinstance(origin, dict):
         raise TypeError("context must be a list and origin an object")
-    label = obj.get("label")
+    label = get("label")
+    context = tuple(context)
+    question = obj["question"]
+    answer = obj["answer"]
+    source = get("source", "gold")
+    origin_ids = tuple(map(origin.get, ORIGIN_KEYS, ("", "", "")))
     inst = QAInstance(
-        context=tuple(context),
-        question=obj["question"],
-        answer=obj["answer"],
-        label=parse_label(label) if label is not None else None,
-        source=obj.get("source", "gold"),
-        origin_ids=tuple(origin.get(key, "") for key in ORIGIN_KEYS),
+        context, question, answer, None if label is None else parse_label(label), source, origin_ids
     )
-    texts = (inst.question, inst.answer, inst.source, *inst.context, *inst.origin_ids)
-    if not all(isinstance(text, str) for text in texts):
+    # map, not a generator: this runs once per instance line read
+    if not all(map(isinstance, (question, answer, source, *context, *origin_ids), repeat(str))):
         raise TypeError("text fields and origin ids must be strings")
     return inst
 

@@ -14,8 +14,8 @@ import numpy as np
 
 from ynkit import model as model_module
 from ynkit.blend import EpochDataset, TrainingPlan
-from ynkit.corpus import LABEL_ORDER, Corpus, Dialogue, Turn, split_sentences, tokenize
-from ynkit.distant import QAInstance, instance_to_dict
+from ynkit.corpus import LABEL_ORDER, Corpus, Dialogue, Turn, parse_label, split_sentences, tokenize
+from ynkit.distant import ORIGIN_KEYS, QAInstance, instance_to_dict
 from ynkit.errors import CorpusFormatError
 from ynkit.model import FIELD_PREFIXES, LinearModel, fnv1a_64, train
 from ynkit.qid import (
@@ -329,6 +329,41 @@ def naive_load_corpus(path):
         )
         dialogues.append(Dialogue(dialogue_id=conv_id, turns=turns))
     return Corpus(dialogues=tuple(dialogues))
+
+
+# -- instance records: one generator-checked dict per line --
+
+
+def naive_instance_from_dict(obj):
+    """distant.instance_from_dict as written before its lean happy path."""
+    context = [] if obj.get("context") is None else obj["context"]
+    origin = {} if obj.get("origin") is None else obj["origin"]
+    if not isinstance(context, list) or not isinstance(origin, dict):
+        raise TypeError("context must be a list and origin an object")
+    label = obj.get("label")
+    inst = QAInstance(
+        context=tuple(context),
+        question=obj["question"],
+        answer=obj["answer"],
+        label=parse_label(label) if label is not None else None,
+        source=obj.get("source", "gold"),
+        origin_ids=tuple(origin.get(key, "") for key in ORIGIN_KEYS),
+    )
+    texts = (inst.question, inst.answer, inst.source, *inst.context, *inst.origin_ids)
+    if not all(isinstance(text, str) for text in texts):
+        raise TypeError("text fields and origin ids must be strings")
+    return inst
+
+
+def naive_read_instances(path):
+    """distant.read_instances through json.loads and naive_instance_from_dict."""
+    instances = []
+    for where, obj in _naive_lines(path):
+        try:
+            instances.append(naive_instance_from_dict(obj))
+        except (KeyError, TypeError, ValueError, CorpusFormatError) as exc:
+            raise CorpusFormatError(f"{where}: bad instance record ({exc})") from None
+    return instances
 
 
 # -- question identification: every turn tokenized afresh --

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -825,6 +826,49 @@ def test_malformed_input_line_is_one_error_naming_file_and_line(
         with contextlib.redirect_stderr(stderr):
             rc = main([str(arg) for arg in argv_for(run, path, out)])
     _assert_one_line_error(rc, stderr.getvalue(), f"error: {path}: line {index + 1}: ")
+
+
+@pytest.mark.parametrize("kind", ["corpus", "predictions"])
+def test_deeply_nested_line_is_one_error_naming_file_and_line(
+    trained_pipeline, fixture_corpus_path, tmp_path, capsys, kind
+):
+    """json's scanner raises RecursionError past its nesting limit."""
+    source, _, _, argv_for = _INPUT_KINDS[kind]
+    run = {**trained_pipeline, "corpus": fixture_corpus_path}
+    path = tmp_path / run[source].name
+    lines = run[source].read_bytes().splitlines()
+    lines.insert(1, b'{"a": ' + b"[" * 3000 + b"]" * 3000 + b"}")
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    rc = main([str(arg) for arg in argv_for(run, path, tmp_path)])
+    _assert_one_line_error(rc, capsys.readouterr().err,
+                           f"error: {path}: line 2: invalid JSON (nested too deeply)")
+
+
+def test_cyclic_garbage_of_a_step_does_not_grow_with_its_input(fixture_corpus_path, tmp_path, capsys):
+    """cli.run turns the cyclic collector off for a whole run, which holds
+    only while what a step leaves for it stays the same on a larger input."""
+    records = [json.loads(line) for line in fixture_corpus_path.read_text(encoding="utf-8").splitlines()]
+    larger = tmp_path / "corpus5.jsonl"
+    larger.write_text("".join(
+        json.dumps({**r, "id": f"{r['id']}-{copy}", "conversation_id": f"{r['conversation_id']}-{copy}"}) + "\n"
+        for copy in range(5) for r in records), encoding="utf-8")
+
+    def garbage(corpus):
+        gc.collect()
+        matches = tmp_path / "m.jsonl"
+        assert main(["identify", "--corpus", str(corpus), "--mode", "strict", "--out", str(matches)]) == 0
+        assert main(["distill", "--corpus", str(corpus), "--matches", str(matches),
+                     "--out", str(tmp_path / "d.jsonl")]) == 0
+        return gc.collect()
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        garbage(fixture_corpus_path)  # leaves aside what only a first call sets up
+        assert garbage(fixture_corpus_path) == garbage(larger)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _readme_walkthrough() -> list[list[str]]:

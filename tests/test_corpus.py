@@ -86,6 +86,25 @@ def test_iter_jsonl_names_file_and_line(tmp_path):
         path.write_bytes(body)
         with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}: line 2: {reason}"):
             list(iter_jsonl(path))
+    # lines json's scanner alone would read otherwise: trailing data, whitespace
+    # JSON does not skip, CRLF ends and values json reads its own way; each
+    # gives json.loads's value or its message
+    lines = ['{"a": 1} {"b": 2}', '{"a": 1}x', '\x0b{"a": 1}', '{"a": 1}\x0b', '\xa0{"a": 1}',
+             '{"a": 1}\u2028', '{"a": NaN, "b": -Infinity}', '{"a": 1e400}', '{"a": "\\ud800"}',
+             '{"a": 1, "a": 2}']
+    for line in lines:
+        for end in ("\n", "\r\n"):
+            path.write_bytes(f'{{"z": 0}}{end}{line}{end}'.encode("utf-8"))
+            try:
+                expected = (f"{path}: line 2", repr(json.loads(line + end)))
+            except json.JSONDecodeError as exc:
+                expected = f"{path}: line 2: invalid JSON ({exc.msg})"
+            try:
+                where, obj = list(iter_jsonl(path))[1]
+                got = (where, repr(obj))  # by repr, since nan != nan
+            except CorpusFormatError as exc:
+                got = str(exc)
+            assert got == expected, (line, end)
 
 
 def test_duplicate_turn_id_rejected(tmp_path):
@@ -313,7 +332,8 @@ def _corpus_files(draw) -> bytes:
     lines = draw(st.permutations(lines))
     if defect == "bad_json":
         i = draw(st.integers(0, len(lines) - 1))
-        lines[i] = draw(st.sampled_from([lines[i][:-1], "\ufeff" + lines[i], "[1]", "nul"]))
+        lines[i] = draw(st.sampled_from([lines[i][:-1], "\ufeff" + lines[i], "[1]", "nul", "{} {}",
+                                         lines[i] + "x", "\x0b" + lines[i]]))
     out = []
     for line in lines:
         out += draw(st.lists(st.sampled_from(["", "  ", "\t"]), max_size=1))  # blank lines

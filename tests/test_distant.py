@@ -1,7 +1,10 @@
 import json
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ynkit.corpus import Label
 from ynkit.distant import (
@@ -16,6 +19,7 @@ from ynkit.distant import (
 )
 from ynkit.errors import CorpusFormatError, InvalidConfigError
 from ynkit.qid import QidMatch, has_direct_answer, scan_corpus
+from oracles import naive_read_instances
 from util import random_corpus
 
 
@@ -170,6 +174,49 @@ def test_read_instances_rejects_wrong_field_types(tmp_path, field, value):
     path.write_text(json.dumps(instance_to_dict(_mk(Label.NO, 1))) + "\n" + json.dumps(record) + "\n")
     with pytest.raises(CorpusFormatError, match=f"{path}: line 2: bad instance record"):
         read_instances(path)
+
+
+_ABSENT = object()
+# each field's values as (readable, refused); a distant record labeled middle
+# or unlabeled is drawn from readable values alone
+_FIELD_VALUES = {
+    "context": ([["earlier turn"], [], ["a", "b"], None, _ABSENT], [["a", 5], "one turn", 5, {}]),
+    "question": (["Do you?"], ["", None, 5, ["Do you?"], _ABSENT]),
+    "answer": (["Sure."], ["", 0, True, _ABSENT]),
+    "label": (["yes", "no", "middle", "No", None, _ABSENT], ["maybe", 1, []]),
+    "source": (["gold", "distant", _ABSENT], [None, 5, ["gold"]]),
+    "origin": ([{"dialogue_id": "d", "question_turn_id": "q", "answer_turn_id": "a"},
+                {"dialogue_id": "d"}, {}, None, _ABSENT],
+               [{"dialogue_id": 5}, {"answer_turn_id": None}, ["d", "q", "a"], "d"]),
+}
+
+
+@st.composite
+def _instance_records(draw) -> dict:
+    record = {}
+    for key, (readable, refused) in _FIELD_VALUES.items():
+        values = refused if draw(st.integers(0, 5), label=f"{key} damaged?") == 0 else readable
+        value = draw(st.sampled_from(values), label=key)
+        if value is not _ABSENT:
+            record[key] = value
+    return record
+
+
+def _read_outcome(read, path):
+    try:
+        return read(path)
+    except CorpusFormatError as exc:
+        return f"error: {exc}"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(records=st.lists(_instance_records(), min_size=1, max_size=3))
+def test_read_instances_matches_the_naive_builder(records):
+    """The same instances, or the same error on the same line, as the oracle."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instances.jsonl"
+        path.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+        assert _read_outcome(read_instances, path) == _read_outcome(naive_read_instances, path)
 
 
 def test_distant_instances_never_middle():
