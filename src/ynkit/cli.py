@@ -256,8 +256,10 @@ def _cmd_evaluate(args) -> int:
         report["excluded_unmapped"] = excluded
     if args.pred2:
         preds2 = _read_pred_labels(args.pred2, gold_instances, args.gold)
-        if any(p is None for p in preds) or any(p is None for p in preds2):
-            raise YnkitError("mcnemar comparison requires fully mapped predictions")
+        for path, labels in ((args.pred, preds), (args.pred2, preds2)):
+            if None in labels:
+                where = first_line_without(path, "label")
+                raise YnkitError(f"{where}: mcnemar comparison requires fully mapped predictions")
         method = (
             "exact_binomial" if args.mcnemar == "exact" else "continuity_corrected_chi2"
         )

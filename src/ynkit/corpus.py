@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import gc
 import json
-import re
 import unicodedata
 from collections import defaultdict
 from dataclasses import dataclass
@@ -94,9 +93,6 @@ class Corpus:
 # stay attached so contractions like "don't" remain single tokens.
 _DETACHED_PUNCT = set("?.,!;:\"()[]")
 
-_WS_RE = re.compile(r"\s+")
-_SENT_SPLIT_RE = re.compile(r"(?<=[.?!]) ")
-
 
 def tokenize(text: str) -> list[str]:
     """Split on whitespace, then detach leading/trailing punctuation.
@@ -146,19 +142,6 @@ def lowered_tokens(text: str) -> list[str]:
     for chunk in text.split():
         tokens += chunk_tokens[chunk]
     return tokens
-
-
-def split_sentences(text: str) -> list[str]:
-    """Split at '.', '?', or '!' followed by whitespace or end of string.
-
-    Whitespace is normalized first, so joining the result with single
-    spaces reproduces the whitespace-normalized input. Terminators stay
-    with their sentence; empty sentences are never returned.
-    """
-    normalized = _WS_RE.sub(" ", text).strip()
-    if not normalized:
-        return []
-    return [part for part in _SENT_SPLIT_RE.split(normalized) if part]
 
 
 def _refusal(line: str) -> str:

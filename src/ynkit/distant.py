@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Union
 
 from .corpus import Corpus, Label, iter_jsonl, parse_label
 from .errors import CorpusFormatError, InvalidConfigError
-from .qid import NO_KEYWORDS, YES_KEYWORDS, QidMatch, answer_window_tokens
+from .qid import QidMatch, answer_polarity
 
 
 @dataclass(frozen=True)
@@ -43,16 +43,11 @@ class QAInstance:
 
 
 def label_direct_answer(answer_text: str) -> Optional[Label]:
-    """Yes/No if exactly one polarity's keywords appear among the answer's
-    window tokens (qid.answer_window_tokens); None when neither or both do."""
-    tokens = answer_window_tokens(answer_text)
-    saw_yes = not YES_KEYWORDS.isdisjoint(tokens)
-    saw_no = not NO_KEYWORDS.isdisjoint(tokens)
-    if saw_yes and not saw_no:
-        return Label.YES
-    if saw_no and not saw_yes:
-        return Label.NO
-    return None
+    """Yes or No when exactly one flag of qid.answer_polarity is set, else None."""
+    saw_yes, saw_no = answer_polarity(answer_text)
+    if saw_yes == saw_no:
+        return None
+    return Label.YES if saw_yes else Label.NO
 
 
 def extract_distant_instances(
@@ -195,7 +190,9 @@ def write_instances(
 def _parse_instance(where: str, obj: dict) -> QAInstance:
     try:
         return instance_from_dict(obj)
-    except (KeyError, TypeError, ValueError, CorpusFormatError) as exc:
+    except KeyError as exc:
+        raise CorpusFormatError(f"{where}: missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError, CorpusFormatError) as exc:
         raise CorpusFormatError(f"{where}: bad instance record ({exc})") from None
 
 

@@ -269,11 +269,8 @@ def probe_benchmark(
     """One mapped response per instance, in input order regardless of
     completion order."""
     prompts = [build_prompt(inst, template, shots) for inst in instances]
-    if concurrency <= 1:
-        completions = [client.send(p) for p in prompts]
-    else:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            completions = list(pool.map(client.send, prompts))
+    with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool:
+        completions = list(pool.map(client.send, prompts))
     responses = tuple(map_response(c) for c in completions)
     unmapped = sum(1 for r in responses if r.label is None)
     manifest = {

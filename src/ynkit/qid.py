@@ -10,6 +10,9 @@ MIN_TOKENS_EXCLUSIVE and YES_NO_ACTS. Matching is whole-token on
 lowercased text; contractions such as "don't" are single tokens, so the
 auxiliary list enumerates negated forms explicitly and "no" never fires
 inside "nobody".
+
+An answer's sentence ends with a whitespace chunk (of str.split) whose
+last character is '.', '?' or '!': "Really?!" and "e.g." each end one.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
-from .corpus import Corpus, Turn, _require, iter_jsonl, lowered_tokens, split_sentences
+from . import corpus as _corpus
+from .corpus import Corpus, Turn, _require, iter_jsonl, lowered_tokens
 from .errors import CorpusFormatError, InvalidConfigError
 
 AUXILIARY_VERBS = frozenset(
@@ -43,9 +47,9 @@ WH_WORDS = frozenset(
 MIN_TOKENS_EXCLUSIVE = 3
 
 # Polar keywords of a direct answer, matched as whole lowercased tokens in
-# its first ANSWER_SENTENCE_WINDOW sentences. The strict rule and distant
-# labeling both read answer_window_tokens, so every labeled answer is a
-# direct answer.
+# its first ANSWER_SENTENCE_WINDOW sentences. Only answer_polarity reads
+# them; the strict rule and distant labeling both call it, so every
+# labeled answer is a direct answer.
 YES_KEYWORDS = frozenset({"yes", "yea", "yup", "yep", "yeah", "sure"})
 NO_KEYWORDS = frozenset({"no", "nope"})
 ANSWER_SENTENCE_WINDOW = 2
@@ -97,24 +101,25 @@ def is_yes_no_question_relaxed(turn: Turn) -> bool:
 def answer_window_tokens(text: str) -> list[str]:
     """Lowercased tokens of the first ANSWER_SENTENCE_WINDOW sentences."""
     tokens: list[str] = []
-    for sentence in split_sentences(text)[:ANSWER_SENTENCE_WINDOW]:
-        tokens += lowered_tokens(sentence)
+    chunk_tokens = _corpus._CHUNK_TOKENS  # lowered_tokens' table
+    ends = 0
+    for chunk in text.split():
+        tokens += chunk_tokens[chunk]
+        ends += chunk[-1] in ".?!"
+        if ends == ANSWER_SENTENCE_WINDOW:
+            break
     return tokens
 
 
+def answer_polarity(text: str) -> tuple[bool, bool]:
+    """(saw_yes, saw_no) over answer_window_tokens(text): the one reader of the lexicon."""
+    tokens = answer_window_tokens(text)
+    return not YES_KEYWORDS.isdisjoint(tokens), not NO_KEYWORDS.isdisjoint(tokens)
+
+
 def has_direct_answer(next_turn: Turn) -> bool:
-    """True iff a yes or no keyword is among the turn's answer_window_tokens."""
-    tokens = answer_window_tokens(next_turn.text)
-    return not (YES_KEYWORDS.isdisjoint(tokens) and NO_KEYWORDS.isdisjoint(tokens))
-
-
-def identify_by_dialogue_acts(turn: Turn) -> bool:
-    """Exact-string match of the turn's gold dialogue act against YES_NO_ACTS."""
-    if turn.dialogue_act is None:
-        raise CorpusFormatError(
-            f"turn {turn.turn_id!r} carries no dialogue-act annotation"
-        )
-    return turn.dialogue_act in YES_NO_ACTS
+    """True iff the turn's answer window holds a yes or no keyword."""
+    return any(answer_polarity(next_turn.text))
 
 
 def scan_corpus(
@@ -134,22 +139,18 @@ def scan_corpus(
         raise InvalidConfigError(f"mode must be one of {MODES}, got {mode!r}")
     if sample_size < 0:
         raise InvalidConfigError(f"sample_size must be >= 0, got {sample_size}")
-    if mode == "dialogue_act":
-        if all(t.dialogue_act is None for d in corpus for t in d.turns):
-            raise CorpusFormatError("corpus carries no dialogue-act annotations")
+    if mode == "dialogue_act" and all(t.dialogue_act is None for d in corpus for t in d.turns):
+        raise CorpusFormatError("corpus carries no dialogue-act annotations")
 
     matches: list[QidMatch] = []
     for dialogue in corpus:
         for i, turn in enumerate(dialogue.turns):
             next_turn = dialogue.turns[i + 1] if i + 1 < len(dialogue.turns) else None
             if mode == "dialogue_act":
-                if turn.dialogue_act is None:
+                if turn.dialogue_act not in YES_NO_ACTS:  # an unannotated turn too
                     continue
-                if not identify_by_dialogue_acts(turn):
-                    continue
-            else:
-                if not is_yes_no_question_relaxed(turn):
-                    continue
+            elif not is_yes_no_question_relaxed(turn):
+                continue
             if mode == "strict" and (next_turn is None or not has_direct_answer(next_turn)):
                 continue
             matches.append(QidMatch(question=turn, answer=next_turn, mode=mode))

@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import unicodedata
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from ynkit import model as model_module
 from ynkit.blend import EpochDataset, TrainingPlan
-from ynkit.corpus import LABEL_ORDER, Corpus, Dialogue, Turn, parse_label, split_sentences, tokenize
+from ynkit.corpus import LABEL_ORDER, Corpus, Dialogue, Turn, parse_label, tokenize
 from ynkit.distant import ORIGIN_KEYS, QAInstance, instance_to_dict
 from ynkit.errors import CorpusFormatError
 from ynkit.model import FIELD_PREFIXES, LinearModel, fnv1a_64, train
@@ -361,20 +362,39 @@ def naive_read_instances(path):
     for where, obj in _naive_lines(path):
         try:
             instances.append(naive_instance_from_dict(obj))
-        except (KeyError, TypeError, ValueError, CorpusFormatError) as exc:
+        except KeyError as exc:
+            raise CorpusFormatError(f"{where}: missing key {exc.args[0]!r}") from None
+        except (TypeError, ValueError, CorpusFormatError) as exc:
             raise CorpusFormatError(f"{where}: bad instance record ({exc})") from None
     return instances
 
 
 # -- question identification: every turn tokenized afresh --
 
+_WS_RE = re.compile(r"\s+")
+_SENT_SPLIT_RE = re.compile(r"(?<=[.?!]) ")
+
+
+def naive_split_sentences(text: str) -> list[str]:
+    """Split at '.', '?', or '!' followed by whitespace or end of string.
+
+    Whitespace is normalized first, so joining the result with single
+    spaces reproduces the whitespace-normalized input. Terminators stay
+    with their sentence; empty sentences are never returned.
+    """
+    normalized = _WS_RE.sub(" ", text).strip()
+    if not normalized:
+        return []
+    return [part for part in _SENT_SPLIT_RE.split(normalized) if part]
+
+
+def naive_window_tokens(text):
+    """qid.answer_window_tokens, by regex sentence splitting and tokenize."""
+    return [t.lower() for s in naive_split_sentences(text)[:ANSWER_SENTENCE_WINDOW] for t in tokenize(s)]
+
 
 def naive_scan_corpus(corpus, mode):
     """The matches of qid.scan_corpus, by plain loops without a memo."""
-
-    def window_tokens(text):
-        return [t.lower() for s in split_sentences(text)[:ANSWER_SENTENCE_WINDOW] for t in tokenize(s)]
-
     matches = []
     for dialogue in corpus.dialogues:
         for i, turn in enumerate(dialogue.turns):
@@ -392,7 +412,7 @@ def naive_scan_corpus(corpus, mode):
                 ):
                     continue
             direct = answer is not None and any(
-                t in YES_KEYWORDS or t in NO_KEYWORDS for t in window_tokens(answer.text)
+                t in YES_KEYWORDS or t in NO_KEYWORDS for t in naive_window_tokens(answer.text)
             )
             if mode == "strict" and not direct:
                 continue

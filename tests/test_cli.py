@@ -262,6 +262,47 @@ def test_evaluate_names_a_predictions_file_of_the_wrong_length(trained_pipeline,
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("damaged", [["--pred"], ["--pred2"], ["--pred2", "--pred"]])
+def test_evaluate_names_the_line_of_an_unmapped_prediction_for_mcnemar(trained_pipeline, tmp_path, capsys, damaged):
+    """Each damaged file has a null label on line 2, 3, ... in the listed
+    order; the error names --pred's when both are damaged."""
+    lines = trained_pipeline["preds"].read_text().splitlines(keepends=True)
+    inputs = {"--pred": str(trained_pipeline["preds"]), "--pred2": str(trained_pipeline["preds"])}
+    where = {}
+    for n, flag in enumerate(damaged, start=2):
+        unmapped = lines[:]
+        unmapped[n - 1] = json.dumps({**json.loads(lines[n - 1]), "label": None}) + "\n"
+        path = tmp_path / f"unmapped{flag}.jsonl"
+        path.write_text("".join(unmapped))
+        inputs[flag] = str(path)
+        where[flag] = f"{path}: line {n}"
+    rc = main(["evaluate", "--gold", str(trained_pipeline["distant"]), "--pred", inputs["--pred"],
+               "--pred2", inputs["--pred2"], "--out", str(tmp_path / "report.json")])
+    named = where.get("--pred", where.get("--pred2"))
+    _assert_one_line_error(
+        rc, capsys.readouterr().err, f"error: {named}: mcnemar comparison requires fully mapped predictions"
+    )
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("field", ["question", "answer"])
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_missing_instance_field_is_named_as_a_missing_key(trained_pipeline, tmp_path, capsys, field, command):
+    first, second, *rest = trained_pipeline["distant"].read_text().splitlines(keepends=True)
+    record = json.loads(second)
+    del record[field]
+    damaged = tmp_path / "instances.jsonl"
+    damaged.write_text(first + json.dumps(record) + "\n" + "".join(rest))
+    out = tmp_path / "out.jsonl"
+    argv = {
+        "predict": ["predict", "--model", str(trained_pipeline["model"]), "--in", str(damaged)],
+        "evaluate": ["evaluate", "--gold", str(damaged), "--pred", str(trained_pipeline["preds"])],
+    }[command]
+    rc = main([*argv, "--out", str(out)])
+    _assert_one_line_error(rc, capsys.readouterr().err, f"error: {damaged}: line 2: missing key '{field}'")
+    assert not out.exists()
+
+
 def test_probe_replay_subcommand(data_dir, tmp_path, capsys):
     out = tmp_path / "probe_preds.jsonl"
     rc = main(
@@ -275,6 +316,18 @@ def test_probe_replay_subcommand(data_dir, tmp_path, capsys):
     assert manifest["unmapped"] == 0
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert summary == {"probed": 3, "unmapped": 0}
+
+
+def test_probe_replay_at_concurrency_zero_and_one_is_byte_identical(data_dir, tmp_path):
+    outputs = []
+    for concurrency in ("0", "1"):
+        out = tmp_path / f"probe_{concurrency}.jsonl"
+        rc = main(["probe", "--in", str(data_dir / "probe_demo.jsonl"), "--client", "replay",
+                   "--store", str(data_dir / "replay_store.json"), "--concurrency", concurrency,
+                   "--out", str(out)])
+        assert rc == 0
+        outputs.append((out.read_bytes(), out.with_suffix(".manifest.json").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_probe_with_shots_replay(data_dir, tmp_path):

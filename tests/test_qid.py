@@ -10,16 +10,18 @@ from ynkit.corpus import Corpus, Dialogue, Turn, tokenize
 from ynkit.errors import CorpusFormatError
 from ynkit.qid import (
     AUXILIARY_VERBS,
+    NO_KEYWORDS,
     WH_WORDS,
+    YES_KEYWORDS,
+    answer_window_tokens,
     has_direct_answer,
-    identify_by_dialogue_acts,
     is_yes_no_question_relaxed,
     load_matches,
     scan_corpus,
     write_audit_sample,
     write_matches,
 )
-from oracles import naive_scan_corpus
+from oracles import naive_scan_corpus, naive_window_tokens
 from util import random_corpus
 
 # hand-marked expectations for the bundled 60-turn fixture
@@ -72,13 +74,35 @@ def test_direct_answer_whole_token_only():
     assert has_direct_answer(_turn("Hmm, let me think. Yes, the late one. It ran long."))
 
 
+# texts that probe the window: words glued from sentence ends, brackets,
+# abbreviations and polar words, after runs of the whitespace characters
+# that str.split and regex \s must agree on
+_WHITESPACE = "\x1c\x85\xa0\u2028\u3000 \t\n"
+_WORD_PIECES = [*'.?!"()[]', "e.g.", "ab", "Yes", "NO", *sorted(YES_KEYWORDS | NO_KEYWORDS)]
+_WINDOW_TEXTS = st.lists(
+    st.tuples(
+        st.text(alphabet=_WHITESPACE, max_size=2),
+        st.lists(st.sampled_from(_WORD_PIECES), min_size=1, max_size=3).map("".join),
+    ),
+    max_size=8,
+).map(lambda parts: "".join(space + word for space, word in parts))
+
+
+@settings(max_examples=500)
+@given(_WINDOW_TEXTS)
+def test_answer_window_matches_sentence_split_oracle(text):
+    assert answer_window_tokens(text) == naive_window_tokens(text)
+
+
 def test_dialogue_act_examples():
-    assert identify_by_dialogue_acts(_turn("x?", act="qy"))
-    assert identify_by_dialogue_acts(_turn("x?", act="qy^d"))
-    assert identify_by_dialogue_acts(_turn("x?", act="^g"))
-    assert not identify_by_dialogue_acts(_turn("x?", act="sd"))
-    with pytest.raises(CorpusFormatError, match="carries no dialogue-act annotation"):
-        identify_by_dialogue_acts(_turn("x?"))
+    acts = ["qy", "qy^d", "^g", "sd", None]
+    turns = tuple(
+        _turn("x?", act=act, turn_id=f"t{i}", ordinal=i) for i, act in enumerate(acts)
+    )
+    matches, _ = scan_corpus(
+        Corpus(dialogues=(Dialogue(dialogue_id="d", turns=turns),)), "dialogue_act", sample_size=0
+    )
+    assert [m.question.dialogue_act for m in matches] == ["qy", "qy^d", "^g"]
 
 
 def test_auxiliary_verbs_and_wh_words_are_disjoint():
