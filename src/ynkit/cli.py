@@ -248,10 +248,14 @@ def _cmd_evaluate(args) -> int:
     gold_instances = _read_labeled(args.gold, "every gold instance needs a label")
     gold = [inst.label for inst in gold_instances]
     preds = _read_pred_labels(args.pred, gold_instances, args.gold)
-    gold_kept, pred_kept, excluded = evaluation.align_for_scoring(
-        gold, preds, policy=args.unmapped
-    )
+    gold_kept, pred_kept = gold, preds  # --unmapped wrong: score counts None as a miss
+    if args.unmapped == "exclude":
+        mapped = [i for i, label in enumerate(preds) if label is not None]
+        if gold and not mapped:
+            raise YnkitError(f"{args.pred}: every prediction is unmapped, so --unmapped exclude leaves none to score")
+        gold_kept, pred_kept = [gold[i] for i in mapped], [preds[i] for i in mapped]
     report = evaluation.score(gold_kept, pred_kept).to_dict()
+    excluded = len(gold) - len(gold_kept)
     if excluded:
         report["excluded_unmapped"] = excluded
     if args.pred2:
@@ -276,7 +280,7 @@ def _cmd_probe(args) -> int:
 
     instances = distant.read_instances(args.infile)
     template = llm_probe.PromptTemplate()
-    if args.shots:
+    if args.shots > 0:
         if not args.shot_examples:
             raise YnkitError("--shots requires --shot-examples with labeled instances")
         shots = _read_labeled(args.shot_examples, "shot examples must be labeled")

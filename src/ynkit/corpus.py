@@ -1,4 +1,4 @@
-"""Dialogue corpus ingestion, tokenization, and label normalization.
+"""Dialogue corpus ingestion, tokenization, and the label scheme.
 
 Corpora arrive as one JSON object per line with fields
 {id, conversation_id, speaker, text, ordinal? | reply_to?, meta?}, where
@@ -22,11 +22,16 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
-from .errors import CorpusFormatError, InvalidConfigError
+from .errors import CorpusFormatError
 
 
 class Label(str, enum.Enum):
-    """Three-way interpretation of an answer to a yes-no question."""
+    """Three-way interpretation of an answer to a yes-no question.
+
+    Yes includes what Circa and SWDA-IA call Probably yes, which covers
+    "sometimes yes" and "yes under certain conditions"; No includes their
+    Probably no; Middle is an answer that leans toward neither.
+    """
 
     YES = "yes"
     NO = "no"
@@ -39,12 +44,24 @@ class Label(str, enum.Enum):
 LABEL_ORDER = tuple(Label)  # the order of every model's weight rows and probabilities
 
 
-# a dict lookup costs a fifth of Label(value)'s Enum.__call__
-_LABELS_BY_VALUE = {label.value: label for label in Label}
+# every accepted spelling, lowercased: the three values, and the Circa and
+# SWDA-IA labels folded as Label says. Circa's discard labels ("I am not
+# sure how to interpret the answer", "Other", "N/A") are refused. A dict
+# lookup costs a fifth of Label(value)'s Enum.__call__.
+_LABELS_BY_SPELLING = {
+    **{label.value: label for label in Label},
+    "probably yes": Label.YES,
+    "probably yes / sometimes yes": Label.YES,
+    "yes, subject to some conditions": Label.YES,
+    "probably no": Label.NO,
+    "in the middle, neither yes nor no": Label.MIDDLE,
+}
 
 
 def parse_label(value: str) -> Label:
-    label = _LABELS_BY_VALUE.get(str(value).lower())
+    """The Label a value spells, in any case; a fine-grained Circa or
+    SWDA-IA label reads as the label it folds into."""
+    label = _LABELS_BY_SPELLING.get(str(value).lower())
     if label is None:
         raise CorpusFormatError(f"not a valid label: {value!r}")
     return label
@@ -368,49 +385,3 @@ def save_corpus(corpus: Corpus, path: Union[str, Path]) -> None:
                     obj["meta"] = {"dialogue_act": turn.dialogue_act}
                 handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
-
-# -- fine-grained label normalization --
-
-_MAP_TARGETS = {"yes": Label.YES, "no": Label.NO, "middle": Label.MIDDLE, "discard": None}
-
-
-def read_label_map(path: Union[str, Path]) -> dict[str, Optional[Label]]:
-    """Read a two-column TSV, source_label TAB yes|no|middle|discard, into
-    a dict from source label to Label, or to None for discard."""
-    mapping: dict[str, Optional[Label]] = {}
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise CorpusFormatError(
-                    f"{path}: line {lineno}: expected 2 tab-separated columns"
-                )
-            source, target = parts
-            key = target.strip().lower()
-            if key not in _MAP_TARGETS:
-                raise CorpusFormatError(
-                    f"{path}: line {lineno}: label map target must be "
-                    f"yes/no/middle/discard, got {target!r}"
-                )
-            mapping[source] = _MAP_TARGETS[key]
-    return mapping
-
-
-def normalize_label(source_label: str, label_map: dict[str, Optional[Label]]) -> Optional[Label]:
-    """Map a fine-grained source label to Label, or None for Discard."""
-    if source_label not in label_map:
-        raise CorpusFormatError(f"no mapping for source label {source_label!r}")
-    return label_map[source_label]
-
-
-def bundled_label_map(name: str) -> dict[str, Optional[Label]]:
-    """Load one of the label maps shipped with the package ("circa", "swda_ia")."""
-    data_dir = Path(__file__).parent / "data"
-    path = data_dir / f"{name}_label_map.tsv"
-    if not path.exists():
-        available = sorted(p.stem.replace("_label_map", "") for p in data_dir.glob("*_label_map.tsv"))
-        raise InvalidConfigError(f"no bundled label map {name!r}; available: {available}")
-    return read_label_map(path)

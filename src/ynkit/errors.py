@@ -11,9 +11,9 @@ class YnkitError(Exception):
 
 
 class CorpusFormatError(YnkitError):
-    """Something read from a file is wrong: bad JSON, a missing key or
-    label mapping, a match with no answer turn, a corpus with no dialogue
-    acts, a replay store with no recording for a prompt."""
+    """Something read from a file is wrong: bad JSON, a missing key, a
+    label outside the scheme, a match with no answer turn, a corpus with
+    no dialogue acts, a replay store with no recording for a prompt."""
 
 
 class InvalidConfigError(YnkitError):

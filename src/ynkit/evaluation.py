@@ -76,51 +76,25 @@ def _check_aligned(*sequences: Sequence[Label]) -> int:
     return n
 
 
-def align_for_scoring(
-    gold: Sequence[Label],
-    predicted: Sequence[Optional[Label]],
-    policy: str = "exclude",
-) -> tuple[list[Label], list[Label], int]:
-    """Pair gold labels with predictions for scoring; None is unmapped.
-
-    policy="exclude" drops unmapped predictions (count returned);
-    policy="wrong" scores each unmapped prediction as a deterministic
-    incorrect label instead.
-    """
-    if policy not in ("exclude", "wrong"):
-        raise ValueError("policy must be 'exclude' or 'wrong'")
-    if len(gold) != len(predicted):
-        raise InvalidConfigError(f"gold has {len(gold)} items, predictions {len(predicted)}")
-    kept_gold: list[Label] = []
-    kept_pred: list[Label] = []
-    excluded = 0
-    for g, p in zip(gold, predicted):
-        if p is not None:
-            kept_gold.append(g)
-            kept_pred.append(p)
-        elif policy == "wrong":
-            kept_gold.append(g)
-            kept_pred.append(next(l for l in Label if l != g))
-        else:
-            excluded += 1
-    return kept_gold, kept_pred, excluded
-
-
-def confusion_matrix(gold: Sequence[Label], predicted: Sequence[Label]) -> list[list[int]]:
-    """counts[gold][predicted], rows and columns in LABEL_ORDER."""
+def confusion_matrix(gold: Sequence[Label], predicted: Sequence[Optional[Label]]) -> list[list[int]]:
+    """counts[gold][predicted], rows and columns in LABEL_ORDER; an
+    unmapped (None) prediction falls in no cell."""
     _check_aligned(gold, predicted)
     index = {label: i for i, label in enumerate(LABEL_ORDER)}
     counts = [[0] * len(LABEL_ORDER) for _ in LABEL_ORDER]
     for g, p in zip(gold, predicted):
-        counts[index[g]][index[p]] += 1
+        if p is not None:
+            counts[index[g]][index[p]] += 1
     return counts
 
 
-def score(gold: Sequence[Label], predicted: Sequence[Label]) -> EvalReport:
+def score(gold: Sequence[Label], predicted: Sequence[Optional[Label]]) -> EvalReport:
     """Per-label precision/recall/F1 plus macro, weighted, and accuracy.
 
     Zero denominators score 0, so a label absent from both gold and
     predictions scores F1 0 and still counts in the three-label average.
+    An unmapped (None) prediction is a miss: it counts in n, in accuracy
+    and in its gold label's recall, and in no label's precision.
     """
     n = _check_aligned(gold, predicted)
     counts = confusion_matrix(gold, predicted)
@@ -129,7 +103,7 @@ def score(gold: Sequence[Label], predicted: Sequence[Label]) -> EvalReport:
     weighted = 0.0
     for i, label in enumerate(LABEL_ORDER):
         tp = counts[i][i]
-        gold_count = sum(counts[i])
+        gold_count = gold.count(label)  # unmapped predictions included
         pred_count = sum(row[i] for row in counts)
         precision = tp / pred_count if pred_count else 0.0
         recall = tp / gold_count if gold_count else 0.0

@@ -2,6 +2,7 @@ import contextlib
 import gc
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -372,6 +373,16 @@ def test_probe_shots_require_examples(data_dir, tmp_path, capsys):
     assert "--shot-examples" in capsys.readouterr().err
 
 
+def test_probe_negative_shots_without_examples_names_the_count(data_dir, tmp_path, capsys):
+    rc = main(
+        ["probe", "--in", str(data_dir / "probe_demo.jsonl"), "--shots", "-1",
+         "--client", "replay", "--store", str(data_dir / "replay_store.json"),
+         "--out", str(tmp_path / "p.jsonl")]
+    )
+    _assert_one_line_error(rc, capsys.readouterr().err, "error: shots must be >= 0, got -1")
+    assert not (tmp_path / "p.jsonl").exists()
+
+
 def test_probe_replay_miss_is_domain_error(data_dir, tmp_path, capsys):
     bad_store = tmp_path / "store.json"
     bad_store.write_text("{}")
@@ -455,6 +466,111 @@ def test_train_names_the_line_of_an_unlabeled_plan_row(trained_pipeline, tmp_pat
     rc = main(["train", "--plan", str(plandir), "--out", str(tmp_path / "m.json")])
     _assert_one_line_error(rc, capsys.readouterr().err, f"error: {epoch}: line 2: every plan row needs a label")
     assert not (tmp_path / "m.json").exists()
+
+
+# Circa's and SWDA-IA's spellings of each label of the three-way scheme
+_SPELLINGS = {
+    "circa": {
+        "yes": ["Yes", "Probably yes / sometimes yes", "Yes, subject to some conditions"],
+        "no": ["No", "Probably no"],
+        "middle": ["In the middle, neither yes nor no"],
+    },
+    "swda_ia": {"yes": ["Yes", "Probably yes"], "no": ["No", "Probably no"], "middle": ["Middle"]},
+}
+
+
+def _respell(path: Path, out: Path, spellings: dict[str, list[str]]) -> Path:
+    """A copy of the labeled lines at path, each label written in the next
+    of its spellings in turn."""
+    turns = {label: itertools.cycle(options) for label, options in spellings.items()}
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    out.write_text("".join(json.dumps({**r, "label": next(turns[r["label"]])}) + "\n" for r in records))
+    return out
+
+
+@pytest.mark.parametrize("corpus", sorted(_SPELLINGS))
+def test_circa_and_swda_ia_spellings_give_the_folded_outputs(trained_pipeline, tmp_path, corpus):
+    """plan and evaluate on a respelled copy of the walkthrough gold and
+    predictions write the files they write on the folded labels."""
+    folded = (trained_pipeline["distant"], trained_pipeline["preds"])
+    (tmp_path / "in").mkdir()
+    spelled = tuple(_respell(path, tmp_path / "in" / path.name, _SPELLINGS[corpus]) for path in folded)
+    used = {json.loads(line)["label"] for line in spelled[0].read_text().splitlines()}
+    assert used == {*_SPELLINGS[corpus]["yes"], *_SPELLINGS[corpus]["no"]}
+    written = {}
+    for name, (gold, preds) in (("folded", folded), ("spelled", spelled)):
+        out = tmp_path / name
+        assert main(["plan", "--gold", str(gold), "--distant", str(gold), "--strategy", "blended",
+                     "--alpha", "0.5", "--m", "2", "--n", "1", "--seed", "7", "--out", str(out / "plan")]) == 0
+        assert main(["evaluate", "--gold", str(gold), "--pred", str(preds), "--out", str(out / "report.json")]) == 0
+        written[name] = {path.relative_to(out): path.read_bytes() for path in out.rglob("*") if path.is_file()}
+    assert Path("report.json") in written["folded"] and Path("plan/plan.json") in written["folded"]
+    assert written["spelled"] == written["folded"]
+
+
+@pytest.mark.parametrize("discard", ["I am not sure how to interpret the answer", "Other", "N/A"])
+@pytest.mark.parametrize("command", ["plan", "evaluate"])
+def test_circa_discard_label_is_refused_naming_its_line(trained_pipeline, tmp_path, capsys, command, discard):
+    first, second, *rest = trained_pipeline["distant"].read_text().splitlines(keepends=True)
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text(first + json.dumps({**json.loads(second), "label": discard}) + "\n" + "".join(rest))
+    argv = {
+        "plan": ["plan", "--gold", str(gold)],
+        "evaluate": ["evaluate", "--gold", str(gold), "--pred", str(trained_pipeline["preds"])],
+    }[command]
+    rc = main([*argv, "--out", str(tmp_path / "out")])
+    _assert_one_line_error(
+        rc, capsys.readouterr().err, f"error: {gold}: line 2: bad instance record (not a valid label: {discard!r})"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "policy, expected",
+    [
+        # the unmapped lines left out: yes and no each right once, no middle left
+        ("exclude", {"n": 2, "accuracy": 1.0, "excluded_unmapped": 2, "middle": (0.0, 0.0, 0.0)}),
+        # each unmapped line a miss of its gold middle, charged to no label's precision
+        ("wrong", {"n": 4, "accuracy": 0.5, "middle": (0.0, 0.0, 0.0)}),
+    ],
+)
+def test_evaluate_unmapped_policies_on_the_worked_example(tmp_path, capsys, policy, expected):
+    """gold [yes, middle, no, middle], predictions [yes, null, no, null]:
+    yes and no score 1.0 and macro-F1 is 2/3 under both policies."""
+    gold, preds = tmp_path / "gold.jsonl", tmp_path / "preds.jsonl"
+    gold.write_text("".join(
+        json.dumps({"question": f"Q{i}?", "answer": "A.", "label": label}) + "\n"
+        for i, label in enumerate(["yes", "middle", "no", "middle"])
+    ))
+    preds.write_text("".join(json.dumps({"label": label}) + "\n" for label in ["yes", None, "no", None]))
+    report_path = tmp_path / "report.json"
+    assert main(["evaluate", "--gold", str(gold), "--pred", str(preds), "--unmapped", policy,
+                 "--out", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["n"] == expected["n"]
+    assert report["accuracy"] == expected["accuracy"]
+    assert report.get("excluded_unmapped") == expected.get("excluded_unmapped")
+    assert abs(report["macro_f1"] - 2 / 3) < 1e-12
+    for label in ("yes", "no"):
+        assert report["per_label"][label] == {"precision": 1.0, "recall": 1.0, "f1": 1.0}
+    assert tuple(report["per_label"]["middle"][k] for k in ("precision", "recall", "f1")) == expected["middle"]
+
+
+def test_evaluate_names_a_predictions_file_with_no_mapped_label(trained_pipeline, tmp_path, capsys):
+    preds = tmp_path / "preds.jsonl"
+    records = [json.loads(line) for line in trained_pipeline["preds"].read_text().splitlines()]
+    preds.write_text("".join(json.dumps({**r, "label": None}) + "\n" for r in records))
+    argv = ["evaluate", "--gold", str(trained_pipeline["distant"]), "--pred", str(preds)]
+    report_path = tmp_path / "report.json"
+    rc = main([*argv, "--out", str(report_path)])
+    _assert_one_line_error(
+        rc, capsys.readouterr().err,
+        f"error: {preds}: every prediction is unmapped, so --unmapped exclude leaves none to score",
+    )
+    assert not report_path.exists()
+    assert main([*argv, "--unmapped", "wrong", "--out", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assert (report["n"], report["accuracy"], report["macro_f1"]) == (len(records), 0.0, 0.0)
 
 
 def test_distill_names_the_line_of_a_match_with_no_answer(fixture_corpus_path, tmp_path, capsys):

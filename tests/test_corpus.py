@@ -10,12 +10,10 @@ from hypothesis import given, settings, strategies as st
 from ynkit.corpus import (
     Label,
     Turn,
-    bundled_label_map,
     iter_jsonl,
     load_corpus,
     lowered_tokens,
-    normalize_label,
-    read_label_map,
+    parse_label,
     save_corpus,
     tokenize,
 )
@@ -453,33 +451,31 @@ def test_split_sentences_concat_is_normalized_input(text):
     assert " ".join(sentences) == " ".join(text.split())
 
 
-# -- label normalization --
+# -- label spellings --
+
+# each spelling Circa or SWDA-IA gives a label in the three-way scheme,
+# and the label the paper folds it into
+_FOLDED_SPELLINGS = {
+    "Yes": Label.YES,
+    "No": Label.NO,
+    "Middle": Label.MIDDLE,
+    "Probably yes": Label.YES,
+    "Probably yes / sometimes yes": Label.YES,
+    "Yes, subject to some conditions": Label.YES,
+    "Probably no": Label.NO,
+    "In the middle, neither yes nor no": Label.MIDDLE,
+}
 
 
-def test_normalize_label_probably_families():
-    circa = bundled_label_map("circa")
-    assert normalize_label("Probably yes / sometimes yes", circa) is Label.YES
-    assert normalize_label("Probably no", circa) is Label.NO
-    assert normalize_label("In the middle, neither yes nor no", circa) is Label.MIDDLE
-    assert normalize_label("Other", circa) is None  # discarded
-    swda = bundled_label_map("swda_ia")
-    assert normalize_label("Probably yes", swda) is Label.YES
-    assert normalize_label("Probably no", swda) is Label.NO
+@pytest.mark.parametrize("spelling, label", _FOLDED_SPELLINGS.items())
+def test_parse_label_folds_fine_grained_spellings_in_any_case(spelling, label):
+    for variant in (spelling, spelling.lower(), spelling.upper(), spelling.title(), spelling.swapcase()):
+        assert parse_label(variant) is label, variant
 
 
-def test_normalize_label_unknown_raises():
-    circa = bundled_label_map("circa")
-    with pytest.raises(CorpusFormatError, match="no mapping for source label 'Banana'"):
-        normalize_label("Banana", circa)
-
-
-def test_label_map_rejects_bad_target(tmp_path):
-    path = tmp_path / "map.tsv"
-    path.write_text("# source\ttarget\nYes\tyes\nSure\taffirmative\n", encoding="utf-8")
-    with pytest.raises(CorpusFormatError, match=r"map\.tsv: line 3: .*'affirmative'"):
-        read_label_map(path)
-
-
-def test_bundled_circa_map_covers_nine_labels():
-    assert len(bundled_label_map("circa")) == 9
-    assert len(bundled_label_map("swda_ia")) == 5
+@pytest.mark.parametrize(
+    "spelling", ["I am not sure how to interpret the answer", "Other", "N/A", "Banana", "probably", ""]
+)
+def test_parse_label_refuses_discard_and_unknown_spellings(spelling):
+    with pytest.raises(CorpusFormatError, match=f"^not a valid label: {re.escape(repr(spelling))}$"):
+        parse_label(spelling)

@@ -5,7 +5,6 @@ import pytest
 from ynkit.corpus import LABEL_ORDER, Label
 from ynkit.errors import InvalidConfigError
 from ynkit.evaluation import (
-    align_for_scoring,
     chi2_sf_1df,
     cohens_kappa,
     confusion_matrix,
@@ -36,6 +35,17 @@ def test_worked_example_macro_seven_ninths():
     assert abs(report.per_label[N][2] - 2 / 3) < 1e-12
     assert abs(report.per_label[M][2] - 1.0) < 1e-12
     assert abs(report.macro_f1 - 7 / 9) < 1e-12
+    assert report.n == 4
+
+
+def test_unmapped_prediction_is_a_miss():
+    # gold [Y,M,N,M], pred [Y,-,N,-]: Yes and No 1.0, Middle recall 0/2
+    report = score([Y, M, N, M], [Y, None, N, None])
+    assert report.per_label[Y] == (1.0, 1.0, 1.0)
+    assert report.per_label[N] == (1.0, 1.0, 1.0)
+    assert report.per_label[M] == (0.0, 0.0, 0.0)
+    assert abs(report.macro_f1 - 2 / 3) < 1e-12
+    assert report.accuracy == 0.5
     assert report.n == 4
 
 
@@ -197,6 +207,23 @@ def test_mcnemar_no_discordant_pairs():
     assert result.statistic == 0.0
 
 
+def test_score_with_unmapped_predictions_matches_bruteforce():
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(1, 30)
+        gold = rng.choices(LABEL_ORDER, k=n)
+        unmapped_rate = rng.random()
+        pred = [None if rng.random() < unmapped_rate else rng.choice(LABEL_ORDER) for _ in range(n)]
+        report = score(gold, pred)
+        naive = naive_per_label_f1(gold, pred)
+        for label in LABEL_ORDER:
+            for mine, theirs in zip(report.per_label[label], naive[label]):
+                assert abs(mine - theirs) < 1e-9
+        assert abs(report.macro_f1 - naive_macro_f1(gold, pred)) < 1e-9
+        assert report.accuracy == sum(g == p for g, p in zip(gold, pred)) / n
+        assert report.n == n
+
+
 def test_mcnemar_antisymmetry():
     rng = random.Random(8)
     gold = rng.choices(LABEL_ORDER, k=80)
@@ -230,18 +257,3 @@ def test_chi2_tail_reference_points():
     assert abs(chi2_sf_1df(3.841458820694124) - 0.05) < 1e-9
     assert abs(chi2_sf_1df(6.634896601021213) - 0.01) < 1e-9
     assert chi2_sf_1df(0.0) == 1.0
-
-
-def test_align_for_scoring_policies():
-    gold = [Y, N, M]
-    predicted = [Y, None, M]
-    kept_gold, kept_pred, excluded = align_for_scoring(gold, predicted, "exclude")
-    assert excluded == 1
-    assert kept_gold == [Y, M]
-    assert kept_pred == [Y, M]
-    kept_gold, kept_pred, excluded = align_for_scoring(gold, predicted, "wrong")
-    assert excluded == 0
-    assert len(kept_pred) == 3
-    assert kept_pred[1] is not N  # scored as a wrong label
-    with pytest.raises(InvalidConfigError, match="gold has 2 items, predictions 3"):
-        align_for_scoring(gold[:2], predicted, "exclude")
