@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .corpus import first_line_without
 from .distant import QAInstance, read_instances, write_instances
 from .errors import InvalidConfigError
 
@@ -165,12 +164,13 @@ def load_plan(directory: Union[str, Path]) -> TrainingPlan:
     """Reconstruct a TrainingPlan from an exported directory.
 
     plan.json's epoch_sizes name the epoch files that must be there,
-    epoch_000.jsonl onwards, and the row count of each; a missing, extra or
-    mis-sized epoch file is an error. The gold count of each epoch comes
-    from plan.json's gold_counts, which must be there too, each an integer
-    from 0 to its epoch's size. Instance identity within each epoch file
-    is preserved in order. Each distinct line is decoded once per call,
-    and every row that repeats it, in any epoch, is the same object.
+    epoch_000.jsonl onwards, and the row count of each; its gold_counts give
+    the gold count of each epoch. Before any epoch file is read, each size
+    must be an integer >= 0 and each gold count an integer from 0 to its
+    epoch's size. A missing, extra or mis-sized epoch file, or a row with no
+    label, is an error. Instance identity within each epoch file is
+    preserved in order. Each distinct line is decoded once per call, and
+    every row that repeats it, in any epoch, is the same object.
     """
     directory = Path(directory)
     plan_path = directory / "plan.json"
@@ -190,6 +190,14 @@ def load_plan(directory: Union[str, Path]) -> TrainingPlan:
         raise InvalidConfigError(f"{plan_path}: no gold_counts list")
     if len(gold_counts) != len(sizes):
         raise InvalidConfigError(f"{plan_path}: gold_counts does not match epoch_sizes")
+    for i, (size, gold_count) in enumerate(zip(sizes, gold_counts)):
+        if type(size) is not int or size < 0:  # bool is not int
+            raise InvalidConfigError(f"{plan_path}: epoch_sizes[{i}] must be an integer >= 0, got {size!r}")
+        if type(gold_count) is not int or not 0 <= gold_count <= size:
+            raise InvalidConfigError(
+                f"{plan_path}: gold_counts[{i}] must be an integer in [0, {size}], "
+                f"got {gold_count!r}"
+            )
     expected = [directory / f"epoch_{i:03d}.jsonl" for i in range(len(sizes))]
     found = set(directory.glob("epoch_*.jsonl"))
     for path in expected:
@@ -200,18 +208,11 @@ def load_plan(directory: Union[str, Path]) -> TrainingPlan:
         raise InvalidConfigError(f"{stray[0]}: not listed in plan.json")
     epochs = []
     decoded: dict[bytes, QAInstance] = {}
-    for i, (path, size, gold_count) in enumerate(zip(expected, sizes, gold_counts)):
-        instances = tuple(read_instances(path, decoded))
+    for path, size, gold_count in zip(expected, sizes, gold_counts):
+        instances = tuple(read_instances(path, decoded, unlabeled="every plan row needs a label"))
         if len(instances) != size:
             raise InvalidConfigError(
                 f"{path}: {len(instances)} rows, plan.json lists {size}"
-            )
-        if any(inst.label is None for inst in instances):
-            raise InvalidConfigError(f"{first_line_without(path, 'label')}: every plan row needs a label")
-        if type(gold_count) is not int or not 0 <= gold_count <= size:  # bool is not int
-            raise InvalidConfigError(
-                f"{plan_path}: gold_counts[{i}] must be an integer in [0, {size}], "
-                f"got {gold_count!r}"
             )
         epochs.append(EpochDataset(gold_count=gold_count, instances=instances))
     return TrainingPlan(epochs=tuple(epochs), provenance=manifest)

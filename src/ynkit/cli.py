@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import distant, qid
-from .corpus import LABEL_ORDER, Label, _require, first_line_without, iter_jsonl, load_corpus, parse_label
+from .corpus import LABEL_ORDER, Label, _require, iter_jsonl, load_corpus, parse_label
 from .errors import CorpusFormatError, InvalidConfigError, YnkitError
 
 DEFAULT_SEED = 1729  # fixed so bare runs are reproducible; override with --seed
@@ -32,20 +32,20 @@ def _read_config_file(path: str, known_keys: set[str]) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
-        raise YnkitError(f"config file not found: {path}") from None
+        raise InvalidConfigError(f"config file not found: {path}") from None
     except UnicodeDecodeError as exc:
-        raise YnkitError(f"{path}: not UTF-8 ({exc.reason})") from None
+        raise InvalidConfigError(f"{path}: not UTF-8 ({exc.reason})") from None
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise YnkitError(f"{path}: line {lineno}: expected key = value")
+            raise InvalidConfigError(f"{path}: line {lineno}: expected key = value")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         if key not in known_keys:
-            raise YnkitError(f"{path}: unknown key {key!r}")
+            raise InvalidConfigError(f"{path}: unknown key {key!r}")
         values[key] = value.strip().strip('"').strip("'")
     return values
 
@@ -61,16 +61,16 @@ def _config_defaults(path: str, values: dict[str, str], parser: argparse.Argumen
             continue
         if isinstance(action, argparse._StoreTrueAction):
             if text.lower() not in ("true", "false"):
-                raise YnkitError(f"{path}: {action.dest}: invalid value: {text!r} (choose from true, false)")
+                raise InvalidConfigError(f"{path}: {action.dest}: invalid value: {text!r} (choose from true, false)")
             defaults[action.dest] = text.lower() == "true"
             continue
         convert = action.type or str
         try:
             value = convert(text)
         except ValueError:
-            raise YnkitError(f"{path}: {action.dest}: invalid {convert.__name__} value: {text!r}") from None
+            raise InvalidConfigError(f"{path}: {action.dest}: invalid {convert.__name__} value: {text!r}") from None
         if action.choices is not None and value not in action.choices:
-            raise YnkitError(
+            raise InvalidConfigError(
                 f"{path}: {action.dest}: invalid choice: {text!r} (choose from {', '.join(action.choices)})"
             )
         defaults[action.dest] = value
@@ -110,21 +110,10 @@ def _cmd_identify(args) -> int:
     return 0
 
 
-def _read_labeled(path: str, message: str) -> list[distant.QAInstance]:
-    """The instances of path; one with no label is an error naming its line."""
-    instances = distant.read_instances(path)
-    if any(inst.label is None for inst in instances):
-        raise YnkitError(f"{first_line_without(path, 'label')}: {message}")
-    return instances
-
-
 def _cmd_distill(args) -> int:
     corpus = load_corpus(args.corpus)
     matches = qid.load_matches(args.matches, corpus)
-    try:
-        instances = distant.extract_distant_instances(corpus, matches, args.context_window)
-    except CorpusFormatError as exc:  # a relaxed match with no reply
-        raise YnkitError(f"{first_line_without(args.matches, 'answer_turn_id')}: {exc}") from None
+    instances = distant.extract_distant_instances(corpus, matches, args.context_window)
     if args.balance:
         instances = distant.balance_dataset(instances, seed=args.seed)
     distant.write_instances(instances, args.out)
@@ -135,8 +124,13 @@ def _cmd_distill(args) -> int:
 def _cmd_plan(args) -> int:
     from . import blend  # each step imports only the modules it uses
 
-    gold = _read_labeled(args.gold, "every gold instance needs a label") if args.gold else []
-    distant_pool = _read_labeled(args.distant, "every distant instance needs a label") if args.distant else []
+    gold = distant.read_instances(args.gold, unlabeled="every gold instance needs a label") if args.gold else []
+    distant_pool = (
+        distant.read_instances(args.distant, unlabeled="every distant instance needs a label") if args.distant else []
+    )
+    empty = [path for path, pool in ((args.gold, gold), (args.distant, distant_pool)) if path and not pool]
+    if empty and (args.strategy == "blended" or not (gold or distant_pool)):  # blended needs both pools
+        raise CorpusFormatError(f"{empty[0]}: holds no instances")
     if args.strategy == "blended":
         plan = blend.build_blended_plan(
             gold, distant_pool, alpha=args.alpha, m=args.m, n=args.n, seed=args.seed, distant_cap=args.cap
@@ -216,10 +210,12 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _read_pred_labels(path: str, gold: list[distant.QAInstance], gold_path: str) -> list[Optional[Label]]:
+def _read_pred_labels(
+    path: str, gold: list[distant.QAInstance], gold_path: str, mcnemar: bool
+) -> list[Optional[Label]]:
     """Labels of a predictions file in line order, one per gold instance;
-    null is unmapped. A line with an origin, as predict writes, must carry
-    its gold instance's."""
+    null is unmapped, and refused when mcnemar is set. A line with an
+    origin, as predict writes, must carry its gold instance's."""
     labels: list[Optional[Label]] = []
     for i, (where, obj) in enumerate(iter_jsonl(path)):
         if i == len(gold):
@@ -229,10 +225,12 @@ def _read_pred_labels(path: str, gold: list[distant.QAInstance], gold_path: str)
         if origin is not None:
             expected = distant.origin_to_dict(gold[i].origin_ids)
             if origin != expected:
-                raise YnkitError(
+                raise CorpusFormatError(
                     f"{where}: origin {_encode_sorted(origin)} is not gold instance {i + 1}'s, "
                     f"{_encode_sorted(expected)}"
                 )
+        if value is None and mcnemar:
+            raise CorpusFormatError(f"{where}: mcnemar comparison requires fully mapped predictions")
         try:
             labels.append(parse_label(value) if value is not None else None)
         except CorpusFormatError as exc:
@@ -245,25 +243,25 @@ def _read_pred_labels(path: str, gold: list[distant.QAInstance], gold_path: str)
 def _cmd_evaluate(args) -> int:
     from . import evaluation
 
-    gold_instances = _read_labeled(args.gold, "every gold instance needs a label")
+    gold_instances = distant.read_instances(args.gold, unlabeled="every gold instance needs a label")
+    if not gold_instances:
+        raise CorpusFormatError(f"{args.gold}: holds no instances")
     gold = [inst.label for inst in gold_instances]
-    preds = _read_pred_labels(args.pred, gold_instances, args.gold)
+    preds = _read_pred_labels(args.pred, gold_instances, args.gold, mcnemar=bool(args.pred2))
     gold_kept, pred_kept = gold, preds  # --unmapped wrong: score counts None as a miss
     if args.unmapped == "exclude":
         mapped = [i for i, label in enumerate(preds) if label is not None]
-        if gold and not mapped:
-            raise YnkitError(f"{args.pred}: every prediction is unmapped, so --unmapped exclude leaves none to score")
+        if not mapped:
+            raise CorpusFormatError(
+                f"{args.pred}: every prediction is unmapped, so --unmapped exclude leaves none to score"
+            )
         gold_kept, pred_kept = [gold[i] for i in mapped], [preds[i] for i in mapped]
     report = evaluation.score(gold_kept, pred_kept).to_dict()
     excluded = len(gold) - len(gold_kept)
     if excluded:
         report["excluded_unmapped"] = excluded
     if args.pred2:
-        preds2 = _read_pred_labels(args.pred2, gold_instances, args.gold)
-        for path, labels in ((args.pred, preds), (args.pred2, preds2)):
-            if None in labels:
-                where = first_line_without(path, "label")
-                raise YnkitError(f"{where}: mcnemar comparison requires fully mapped predictions")
+        preds2 = _read_pred_labels(args.pred2, gold_instances, args.gold, mcnemar=True)
         method = (
             "exact_binomial" if args.mcnemar == "exact" else "continuity_corrected_chi2"
         )
@@ -282,13 +280,13 @@ def _cmd_probe(args) -> int:
     template = llm_probe.PromptTemplate()
     if args.shots > 0:
         if not args.shot_examples:
-            raise YnkitError("--shots requires --shot-examples with labeled instances")
-        shots = _read_labeled(args.shot_examples, "shot examples must be labeled")
+            raise InvalidConfigError("--shots requires --shot-examples with labeled instances")
+        shots = distant.read_instances(args.shot_examples, unlabeled="shot examples must be labeled")
         examples = tuple((inst.question, inst.answer, inst.label) for inst in shots)
         template = llm_probe.PromptTemplate(shot_examples=examples)
     if args.client == "replay":
         if not args.store:
-            raise YnkitError("--client replay requires --store with a replay store file")
+            raise InvalidConfigError("--client replay requires --store with a replay store file")
         client = llm_probe.ReplayClient(args.store)
     else:
         client = llm_probe.LiveClient(endpoint=args.endpoint)

@@ -221,12 +221,6 @@ def iter_jsonl(
             yield where, value
 
 
-def first_line_without(path: Union[str, Path], key: str) -> str:
-    """The "{path}: line N" of the first record in path whose key is absent
-    or null; the readers keep no line numbers, so this reads path again."""
-    return next(where for where, obj in iter_jsonl(path) if obj.get(key) is None)
-
-
 def _require(obj: dict, key: str, where: str):
     if key not in obj:
         raise CorpusFormatError(f"{where}: missing key {key!r}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Optional, Union
@@ -187,19 +188,24 @@ def write_instances(
             handle.write(line)
 
 
-def _parse_instance(where: str, obj: dict) -> QAInstance:
+def _parse_instance(unlabeled: Optional[str], where: str, obj: dict) -> QAInstance:
     try:
-        return instance_from_dict(obj)
+        inst = instance_from_dict(obj)
     except KeyError as exc:
         raise CorpusFormatError(f"{where}: missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError, CorpusFormatError) as exc:
         raise CorpusFormatError(f"{where}: bad instance record ({exc})") from None
+    if inst.label is None and unlabeled is not None:
+        raise CorpusFormatError(f"{where}: {unlabeled}")
+    return inst
 
 
 def read_instances(
-    path: Union[str, Path], memo: Optional[dict[bytes, QAInstance]] = None
+    path: Union[str, Path], memo: Optional[dict[bytes, QAInstance]] = None, unlabeled: Optional[str] = None
 ) -> list[QAInstance]:
-    """The instances of a JSONL file, in line order. memo (raw line bytes
-    -> instance), shared by the calls of one run, decodes each distinct
-    line once, and every repeat of it is the same object."""
-    return [inst for _, inst in iter_jsonl(path, _parse_instance, memo)]
+    """The instances of a JSONL file, in line order; a line with no label
+    raises CorpusFormatError("{path}: line N: {unlabeled}") when unlabeled
+    is given. memo (raw line bytes -> instance), shared by the calls of one
+    run, decodes each distinct line once, and every repeat of it is the
+    same object."""
+    return [inst for _, inst in iter_jsonl(path, partial(_parse_instance, unlabeled), memo)]

@@ -17,9 +17,9 @@ class CorpusFormatError(YnkitError):
 
 
 class InvalidConfigError(YnkitError):
-    """An argument, flag or plan breaks a documented precondition: a value
-    out of range, an empty or unlabeled plan, sequences of unequal length,
-    more shots than worked examples."""
+    """An argument, flag, config file or plan breaks a documented
+    precondition: a value out of range, an empty or unlabeled plan,
+    sequences of unequal length, more shots than worked examples."""
 
 
 class TransportError(YnkitError):

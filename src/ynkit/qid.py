@@ -180,8 +180,8 @@ def write_matches(matches: list[QidMatch], path: Union[str, Path]) -> None:
 
 
 def load_matches(path: Union[str, Path], corpus: Corpus) -> list[QidMatch]:
-    """Resolve a matches JSONL file back against its corpus; an answer turn
-    must be the turn right after its question, as scan_corpus pairs them."""
+    """Resolve a matches JSONL file back against its corpus. Each match needs
+    an answer turn, the turn right after its question, as scan_corpus pairs them."""
     index = corpus.turn_index()
 
     def turn(turn_id, role: str, where: str) -> Turn:
@@ -197,14 +197,14 @@ def load_matches(path: Union[str, Path], corpus: Corpus) -> list[QidMatch]:
                 f"{where}: dialogue_id {obj['dialogue_id']!r} is not the dialogue of question turn "
                 f"{question.turn_id!r} ({question.dialogue_id!r})"
             )
-        answer = None
-        if obj.get("answer_turn_id") is not None:
-            answer = turn(obj["answer_turn_id"], "answer", where)
-            if (answer.dialogue_id, answer.ordinal) != (question.dialogue_id, question.ordinal + 1):
-                raise CorpusFormatError(
-                    f"{where}: answer turn {answer.turn_id!r} is not the turn after question turn "
-                    f"{question.turn_id!r} in its dialogue"
-                )
+        if obj.get("answer_turn_id") is None:
+            raise CorpusFormatError(f"{where}: match on turn {question.turn_id!r} has no answer turn")
+        answer = turn(obj["answer_turn_id"], "answer", where)
+        if (answer.dialogue_id, answer.ordinal) != (question.dialogue_id, question.ordinal + 1):
+            raise CorpusFormatError(
+                f"{where}: answer turn {answer.turn_id!r} is not the turn after question turn "
+                f"{question.turn_id!r} in its dialogue"
+            )
         matches.append(QidMatch(question=question, answer=answer, mode=obj.get("mode", "relaxed")))
     return matches
 

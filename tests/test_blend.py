@@ -293,6 +293,32 @@ def test_load_plan_bad_manifest(tmp_path, manifest):
         load_plan(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ([10.0, 10, 10], "epoch_sizes[0] must be an integer >= 0, got 10.0"),
+        ([10, "10", 10], "epoch_sizes[1] must be an integer >= 0, got '10'"),
+        ([10, 10, -1], "epoch_sizes[2] must be an integer >= 0, got -1"),
+        ([True, 10, 10], "epoch_sizes[0] must be an integer >= 0, got True"),
+    ],
+)
+def test_load_plan_refuses_an_epoch_size_that_is_not_a_count(tmp_path, sizes, message):
+    """10.0 matches a 10-row file, and loaded as a plan before this check."""
+    manifest = json.loads((_exported(tmp_path) / "plan.json").read_text())
+    (tmp_path / "plan.json").write_text(json.dumps({**manifest, "epoch_sizes": sizes}))
+    with pytest.raises(InvalidConfigError, match=f"plan.json: {re.escape(message)}$"):
+        load_plan(tmp_path)
+
+
+def test_load_plan_checks_every_gold_count_before_reading_an_epoch(tmp_path):
+    manifest = json.loads((_exported(tmp_path) / "plan.json").read_text())
+    (tmp_path / "plan.json").write_text(json.dumps({**manifest, "gold_counts": [6, 6, 11]}))
+    (tmp_path / "epoch_000.jsonl").write_text("{not json\n")
+    message = "plan.json: gold_counts[2] must be an integer in [0, 10], got 11"
+    with pytest.raises(InvalidConfigError, match=re.escape(message)):
+        load_plan(tmp_path)
+
+
 def test_export_empty_plan_rejected(tmp_path):
     from ynkit.blend import TrainingPlan
 

@@ -890,6 +890,34 @@ def test_predict_on_empty_instance_file(trained_pipeline, tmp_path, monkeypatch,
     assert out == b"" and forks == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "--gold", "{empty}", "--pred", "{empty}"],
+        ["plan", "--gold", "{empty}"],
+        ["plan", "--strategy", "blended", "--distant", "{empty}"],
+    ],
+    ids=["evaluate", "plan_merged", "plan_blended"],
+)
+def test_empty_input_is_named(tmp_path, capsys, argv):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    rc = main([arg.format(empty=empty) for arg in argv] + ["--out", str(tmp_path / "out")])
+    _assert_one_line_error(rc, capsys.readouterr().err, f"error: {empty}: holds no instances")
+    assert not (tmp_path / "out").exists()
+
+
+def test_no_source_raises_the_bare_base_error():
+    """Each raise names what must change through a YnkitError subclass."""
+    bare = [
+        f"{path.name}:{n}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "raise YnkitError(" in line
+    ]
+    assert bare == []
+
+
 # Each JSONL input the CLI reads: the run output it copies, the keys every
 # record needs, the type of each typed field (dotted for a nested one), and
 # the argv that reads the corrupted copy at `path`.
@@ -935,6 +963,12 @@ _ANY_VALUES = (True, False, 0, 7, 0.5, "", "x", [], ["a"], {}, {"k": "v"})
 
 
 def _mutate(line: bytes, mutation: str, keys, types, data) -> bytes:
+    if mutation == "null_label":  # a gold row: a distant one with no label is a bad record
+        return json.dumps({**json.loads(line), "label": None, "source": "gold"}).encode("utf-8")
+    if mutation == "no_answer":
+        obj = json.loads(line)
+        del obj["answer_turn_id"]
+        return json.dumps(obj).encode("utf-8")
     if mutation == "invalid_json":
         return line[:-1]  # drop the closing brace
     if mutation == "not_object":
@@ -965,6 +999,8 @@ def _mutate(line: bytes, mutation: str, keys, types, data) -> bytes:
         *((kind, mutation) for kind in sorted(_INPUT_KINDS)
           for mutation in ("invalid_json", "not_object", "missing_key", "wrong_type", "not_utf8")),
         ("predictions", "duplicate_line"),  # the other kinds accept a repeated line by design
+        *((kind, "null_label") for kind in ("gold", "distant", "epoch")),
+        ("matches", "no_answer"),
     ],
 )
 @settings(max_examples=3, deadline=None, derandomize=True, database=None)
@@ -990,11 +1026,42 @@ def test_malformed_input_line_is_one_error_naming_file_and_line(
             index += 1  # the line after the copy is the first out of step with gold
         else:
             lines[index] = _mutate(lines[index], mutation, keys, types, data)
-        path.write_bytes(b"\n".join(lines) + b"\n")
-        stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr):
-            rc = main([str(arg) for arg in argv_for(run, path, out)])
-    _assert_one_line_error(rc, stderr.getvalue(), f"error: {path}: line {index + 1}: ")
+        corrupted = b"\n".join(lines) + b"\n"
+        path.write_bytes(corrupted)
+        _assert_one_line_error(*_run_quietly(argv_for(run, path, out)), f"error: {path}: line {index + 1}: ")
+        if kind != "epoch":  # once more through a pipe, which can be read only once
+            with _pipe_of(corrupted) as piped:
+                rc, err = _run_quietly(argv_for(run, piped, out))
+            _assert_one_line_error(rc, err, f"error: {piped}: line {index + 1}: ")
+
+
+def _run_quietly(argv) -> tuple[int, str]:
+    """main's exit code and stderr for argv."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        rc = main([str(arg) for arg in argv])
+    return rc, stderr.getvalue()
+
+
+@contextlib.contextmanager
+def _pipe_of(data: bytes):
+    """A /dev/fd/N path to the read end of a pipe a writer thread fills
+    with data, as a shell's process substitution gives."""
+    read_fd, write_fd = os.pipe()
+
+    def feed():
+        # a reader that stops at a bad line closes its end before the last byte
+        with contextlib.suppress(BrokenPipeError), open(write_fd, "wb") as pipe:
+            pipe.write(data)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        yield Path(f"/dev/fd/{read_fd}")
+    finally:
+        os.close(read_fd)
+        writer.join(timeout=30)
+    assert not writer.is_alive()
 
 
 @pytest.mark.parametrize("kind", ["corpus", "predictions"])

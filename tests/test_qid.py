@@ -273,7 +273,8 @@ def test_matches_round_trip(fixture_corpus, tmp_path):
 def test_load_matches_names_file_and_line(fixture_corpus, tmp_path):
     path = tmp_path / "matches.jsonl"
     path.write_text(
-        '{"question_turn_id": "d01-t1", "mode": "strict"}\n{"mode": "strict"}\n', encoding="utf-8"
+        '{"question_turn_id": "d01-t1", "answer_turn_id": "d01-t2", "mode": "strict"}\n{"mode": "strict"}\n',
+        encoding="utf-8",
     )
     with pytest.raises(CorpusFormatError, match=f"{path}: line 2: missing key 'question_turn_id'"):
         load_matches(path, fixture_corpus)
