@@ -18,7 +18,7 @@ import json
 import unicodedata
 from collections import defaultdict
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
@@ -234,23 +234,19 @@ def _wrong_type(where: str, key: str, expected: str, value) -> CorpusFormatError
 _REQUIRED_KEYS = ("id", "conversation_id", "speaker", "text")
 _get_required = itemgetter(*_REQUIRED_KEYS)  # raises KeyError on the first missing key
 
-# load_corpus keeps each line as a tuple of these fields until its
-# conversation is ordered
-_ID, _SPEAKER, _TEXT, _ACT, _ORDINAL, _REPLY_TO = range(6)
 
-
-def _order_by_reply_chain(raw_turns: list[tuple], conversation_id: str) -> list[tuple]:
-    """Linearize a conversation whose turns carry reply_to references."""
-    by_id = {t[_ID]: t for t in raw_turns}
-    roots = [t for t in raw_turns if t[_REPLY_TO] in (None, "")]
+def _order_by_reply_chain(rows: list[tuple], conversation_id: str) -> list[tuple]:
+    """Linearize a conversation's rows (turn_id, speaker, text, act, reply_to)."""
+    by_id = {row[0]: row for row in rows}
+    roots = [row for row in rows if row[-1] in (None, "")]
     if len(roots) != 1:
         raise CorpusFormatError(
             f"conversation {conversation_id!r}: expected exactly one root turn "
             f"(reply_to null), found {len(roots)}"
         )
     children: dict[str, list[str]] = {}
-    for t in raw_turns:
-        turn_id, parent = t[_ID], t[_REPLY_TO]
+    for row in rows:
+        turn_id, parent = row[0], row[-1]
         if parent in (None, ""):
             continue
         if parent not in by_id:
@@ -261,17 +257,17 @@ def _order_by_reply_chain(raw_turns: list[tuple], conversation_id: str) -> list[
         children.setdefault(parent, []).append(turn_id)
     ordered = [roots[0]]
     while True:
-        nxt = children.get(ordered[-1][_ID], [])
+        nxt = children.get(ordered[-1][0], [])
         if not nxt:
             break
         if len(nxt) > 1:
             raise CorpusFormatError(
-                f"conversation {conversation_id!r}: turn {ordered[-1][_ID]!r} "
+                f"conversation {conversation_id!r}: turn {ordered[-1][0]!r} "
                 f"has multiple replies; chain is not linear"
             )
         ordered.append(by_id[nxt[0]])
-    if len(ordered) != len(raw_turns):
-        missing = sorted(set(by_id) - {t[_ID] for t in ordered})
+    if len(ordered) != len(rows):
+        missing = sorted(set(by_id) - {row[0] for row in ordered})
         raise CorpusFormatError(
             f"conversation {conversation_id!r}: turn {missing[0]!r} is not "
             f"reachable from the root reply chain"
@@ -282,7 +278,9 @@ def _order_by_reply_chain(raw_turns: list[tuple], conversation_id: str) -> list[
 def load_corpus(path: Union[str, Path]) -> Corpus:
     """Load an utterance-JSONL file into an immutable Corpus.
 
-    Dialogues are ordered lexicographically by id, turns by ordinal.
+    Dialogues are ordered lexicographically by id, turns by ordinal. A line
+    with an ordinal is its Turn from the start, a reply_to line a row until
+    its chain is ordered: the peak holds each turn once, plus the turn ids.
     """
     # the load keeps nearly every object it builds, so a cyclic collection
     # during it would rescan a growing heap and free nothing; pause them
@@ -297,9 +295,10 @@ def load_corpus(path: Union[str, Path]) -> Corpus:
 
 def _load_corpus(path: Union[str, Path]) -> Corpus:
     seen_ids: set[str] = set()
-    conversations: defaultdict[str, list[tuple]] = defaultdict(list)
+    by_ordinal: dict[str, list[Turn]] = {}
+    by_reply: defaultdict[str, list[tuple]] = defaultdict(list)
     normalize = unicodedata.normalize
-    new_tuple = tuple.__new__
+    new_tuple = tuple.__new__  # fills a Turn without its Python-level __new__
     for where, obj in iter_jsonl(path):
         try:
             turn_id, conv_id, speaker, text = _get_required(obj)
@@ -331,34 +330,34 @@ def _load_corpus(path: Union[str, Path]) -> Corpus:
             act = meta.get("dialogue_act")
             if act is not None and type(act) is not str:
                 raise _wrong_type(where, "meta.dialogue_act", "a string", act)
-        conversations[conv_id].append((turn_id, speaker, text, act, ordinal, reply_to))
+        if ordinal is None:
+            by_reply[conv_id].append((turn_id, speaker, text, act, reply_to))
+        elif turns := by_ordinal.get(conv_id):  # a dialogue's Turns share one id string
+            turns.append(new_tuple(Turn, (turn_id, turns[0].dialogue_id, ordinal, speaker, text, act)))
+        else:
+            by_ordinal[conv_id] = [new_tuple(Turn, (turn_id, conv_id, ordinal, speaker, text, act))]
+    del seen_ids
 
     dialogues = []
-    for conv_id in sorted(conversations):
-        raw_turns = conversations[conv_id]
-        if all(t[_ORDINAL] is not None for t in raw_turns):
-            raw_turns.sort(key=itemgetter(_ORDINAL))
-            ordinals = [t[_ORDINAL] for t in raw_turns]
-            if ordinals != list(range(len(raw_turns))):
-                raise CorpusFormatError(
-                    f"conversation {conv_id!r}: ordinals must be consecutive "
-                    f"from 0, got {ordinals}"
-                )
-        elif all(t[_ORDINAL] is None for t in raw_turns):
-            raw_turns = _order_by_reply_chain(raw_turns, conv_id)
-        else:
+    for conv_id in sorted(by_ordinal.keys() | by_reply.keys()):
+        if conv_id in by_ordinal and conv_id in by_reply:
             raise CorpusFormatError(
                 f"conversation {conv_id!r}: mixes explicit ordinals with "
                 f"reply_to ordering"
             )
-        # tuple.__new__ fills a Turn without its Python-level __new__
-        turns = tuple(
-            [
-                new_tuple(Turn, (turn_id, conv_id, i, speaker, text, act))
-                for i, (turn_id, speaker, text, act, _, _) in enumerate(raw_turns)
-            ]
-        )
-        dialogues.append(Dialogue(dialogue_id=conv_id, turns=turns))
+        turns = by_ordinal.pop(conv_id, None)
+        if turns is not None:
+            turns.sort(key=attrgetter("ordinal"))
+            if [t.ordinal for t in turns] != list(range(len(turns))):
+                raise CorpusFormatError(
+                    f"conversation {conv_id!r}: ordinals must be consecutive "
+                    f"from 0, got {[t.ordinal for t in turns]}"
+                )
+        else:
+            ordered = _order_by_reply_chain(by_reply.pop(conv_id), conv_id)
+            turns = [new_tuple(Turn, (turn_id, conv_id, i, speaker, text, act))
+                     for i, (turn_id, speaker, text, act, _) in enumerate(ordered)]
+        dialogues.append(Dialogue(dialogue_id=turns[0].dialogue_id, turns=tuple(turns)))
     return Corpus(dialogues=tuple(dialogues))
 
 

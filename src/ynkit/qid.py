@@ -70,7 +70,7 @@ YES_NO_ACTS = SWDA_YES_NO_ACTS | MRDA_YES_NO_ACTS
 MODES = ("relaxed", "strict", "dialogue_act")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QidMatch:
     question: Turn
     answer: Optional[Turn]  # next turn in the same dialogue, when it exists
@@ -181,8 +181,15 @@ def write_matches(matches: list[QidMatch], path: Union[str, Path]) -> None:
 
 def load_matches(path: Union[str, Path], corpus: Corpus) -> list[QidMatch]:
     """Resolve a matches JSONL file back against its corpus. Each match needs
-    an answer turn, the turn right after its question, as scan_corpus pairs them."""
-    index = corpus.turn_index()
+    an answer turn, the turn right after its question, as scan_corpus pairs them,
+    and a mode in MODES if any (relaxed if none). The question is looked for in
+    its line's dialogue after the previous line's answer there, as write_matches
+    orders them: the peak holds the corpus, a dict of dialogues and the matches.
+    From a line without dialogue_id or a lookup that misses on, a whole-corpus
+    turn index resolves every line and words its errors."""
+    by_dialogue = {d.dialogue_id: d.turns for d in corpus}
+    index: Optional[dict[str, Turn]] = None
+    turns, start = (), 0  # the last looked-up dialogue, and where to look next
 
     def turn(turn_id, role: str, where: str) -> Turn:
         if not isinstance(turn_id, str) or turn_id not in index:
@@ -191,21 +198,34 @@ def load_matches(path: Union[str, Path], corpus: Corpus) -> list[QidMatch]:
 
     matches = []
     for where, obj in iter_jsonl(path):
-        question = turn(_require(obj, "question_turn_id", where), "question", where)
-        if obj.get("dialogue_id", question.dialogue_id) != question.dialogue_id:
-            raise CorpusFormatError(
-                f"{where}: dialogue_id {obj['dialogue_id']!r} is not the dialogue of question turn "
-                f"{question.turn_id!r} ({question.dialogue_id!r})"
-            )
-        if obj.get("answer_turn_id") is None:
-            raise CorpusFormatError(f"{where}: match on turn {question.turn_id!r} has no answer turn")
-        answer = turn(obj["answer_turn_id"], "answer", where)
-        if (answer.dialogue_id, answer.ordinal) != (question.dialogue_id, question.ordinal + 1):
-            raise CorpusFormatError(
-                f"{where}: answer turn {answer.turn_id!r} is not the turn after question turn "
-                f"{question.turn_id!r} in its dialogue"
-            )
-        matches.append(QidMatch(question=question, answer=answer, mode=obj.get("mode", "relaxed")))
+        question_id = _require(obj, "question_turn_id", where)
+        dialogue_id, question = obj.get("dialogue_id"), None
+        if index is None and type(dialogue_id) is str:
+            named = by_dialogue.get(dialogue_id, ())
+            turns, start = named, (start if named is turns else 0)
+            i = next((i for i in range(start, len(turns) - 1) if turns[i].turn_id == question_id), None)
+            if i is not None and turns[i + 1].turn_id == obj.get("answer_turn_id"):
+                question, answer, start = turns[i], turns[i + 1], i + 1
+        if question is None:
+            index = index or corpus.turn_index()
+            question = turn(question_id, "question", where)
+            if obj.get("dialogue_id", question.dialogue_id) != question.dialogue_id:
+                raise CorpusFormatError(
+                    f"{where}: dialogue_id {obj['dialogue_id']!r} is not the dialogue of question turn "
+                    f"{question.turn_id!r} ({question.dialogue_id!r})"
+                )
+            if obj.get("answer_turn_id") is None:
+                raise CorpusFormatError(f"{where}: match on turn {question.turn_id!r} has no answer turn")
+            answer = turn(obj["answer_turn_id"], "answer", where)
+            if (answer.dialogue_id, answer.ordinal) != (question.dialogue_id, question.ordinal + 1):
+                raise CorpusFormatError(
+                    f"{where}: answer turn {answer.turn_id!r} is not the turn after question turn "
+                    f"{question.turn_id!r} in its dialogue"
+                )
+        mode = obj.get("mode", "relaxed")
+        if mode not in MODES:
+            raise CorpusFormatError(f"{where}: mode must be one of {MODES}, got {mode!r}")
+        matches.append(QidMatch(question=question, answer=answer, mode=mode))
     return matches
 
 

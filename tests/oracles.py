@@ -27,6 +27,7 @@ from ynkit.qid import (
     WH_WORDS,
     YES_KEYWORDS,
     YES_NO_ACTS,
+    MODES,
     QidMatch,
 )
 
@@ -417,6 +418,45 @@ def naive_scan_corpus(corpus, mode):
             if mode == "strict" and not direct:
                 continue
             matches.append(QidMatch(question=turn, answer=answer, mode=mode))
+    return matches
+
+
+# -- match files: every turn of the corpus in one index --
+
+
+def naive_load_matches(path, corpus):
+    """qid.load_matches as written before its per-dialogue lookup: every
+    turn indexed by id up front, each line resolved through that index
+    alone; a mode outside MODES is refused after the turn checks."""
+    index = {t.turn_id: t for d in corpus.dialogues for t in d.turns}
+
+    def turn(turn_id, role, where):
+        if not isinstance(turn_id, str) or turn_id not in index:
+            raise CorpusFormatError(f"{where}: {role} turn {turn_id!r} not in corpus")
+        return index[turn_id]
+
+    matches = []
+    for where, obj in _naive_lines(path):
+        if "question_turn_id" not in obj:
+            raise CorpusFormatError(f"{where}: missing key 'question_turn_id'")
+        question = turn(obj["question_turn_id"], "question", where)
+        if obj.get("dialogue_id", question.dialogue_id) != question.dialogue_id:
+            raise CorpusFormatError(
+                f"{where}: dialogue_id {obj['dialogue_id']!r} is not the dialogue of question turn "
+                f"{question.turn_id!r} ({question.dialogue_id!r})"
+            )
+        if obj.get("answer_turn_id") is None:
+            raise CorpusFormatError(f"{where}: match on turn {question.turn_id!r} has no answer turn")
+        answer = turn(obj["answer_turn_id"], "answer", where)
+        if (answer.dialogue_id, answer.ordinal) != (question.dialogue_id, question.ordinal + 1):
+            raise CorpusFormatError(
+                f"{where}: answer turn {answer.turn_id!r} is not the turn after question turn "
+                f"{question.turn_id!r} in its dialogue"
+            )
+        mode = obj.get("mode", "relaxed")
+        if mode not in MODES:
+            raise CorpusFormatError(f"{where}: mode must be one of {MODES}, got {mode!r}")
+        matches.append(QidMatch(question=question, answer=answer, mode=mode))
     return matches
 
 

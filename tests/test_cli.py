@@ -587,6 +587,27 @@ def test_distill_names_the_line_of_a_match_with_no_answer(fixture_corpus_path, t
     )
 
 
+@pytest.mark.parametrize("mode", [5, "banana", None, "acts"])
+def test_distill_refuses_a_match_mode_outside_qid_modes(fixture_corpus_path, tmp_path, capsys, mode):
+    matches = tmp_path / "strict.jsonl"
+    assert main(["identify", "--corpus", str(fixture_corpus_path), "--mode", "strict",
+                 "--out", str(matches)]) == 0
+    records = [json.loads(line) for line in matches.read_text().splitlines()]
+    records[2]["mode"] = mode
+    matches.write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+    rc = main(["distill", "--corpus", str(fixture_corpus_path), "--matches", str(matches),
+               "--out", str(tmp_path / "d.jsonl")])
+    _assert_one_line_error(
+        rc, capsys.readouterr().err,
+        f"error: {matches}: line 3: mode must be one of ('relaxed', 'strict', 'dialogue_act'), got {mode!r}",
+    )
+    del records[2]["mode"]  # an absent mode reads as relaxed
+    matches.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert main(["distill", "--corpus", str(fixture_corpus_path), "--matches", str(matches),
+                 "--out", str(tmp_path / "d.jsonl")]) == 0
+
+
 def test_plan_blended_subcommand(fixture_corpus_path, tmp_path):
     outputs = _run_pipeline(fixture_corpus_path, tmp_path)
     plandir = tmp_path / "blended"

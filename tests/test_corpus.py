@@ -1,7 +1,10 @@
+import gc
 import json
+import random
 import re
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -353,6 +356,53 @@ def test_load_corpus_matches_line_by_line_oracle(body):
         path = Path(tmp) / "c.jsonl"
         path.write_bytes(body)
         assert _load_outcome(load_corpus, path) == _load_outcome(naive_load_corpus, path)
+
+
+# -- what the loader holds while it reads --
+
+_GATE_WORDS = ("do", "you", "think", "the", "game", "was", "fine", "yes", "no", "really",
+               "we", "could", "go", "later", "maybe", "lunch", "is", "it", "still", "on")
+
+
+def _gate_corpus_lines() -> list[str]:
+    """About 6,000 short turns in conversations of 10 to 40, every third
+    ordered by reply_to and the rest by ordinal, each one's lines shuffled."""
+    rng = random.Random(3)
+    lines = []
+    for c in range(240):
+        conv_id = f"c{c:05d}"
+        records = []
+        for i in range(rng.randint(10, 40)):
+            record = {"id": f"{conv_id}-t{i:02d}", "conversation_id": conv_id, "speaker": "AB"[i % 2],
+                      "text": " ".join(rng.choices(_GATE_WORDS, k=rng.randint(3, 7))) + rng.choice("?.!")}
+            if c % 3 == 0:
+                record["reply_to"] = f"{conv_id}-t{i - 1:02d}" if i else None
+            else:
+                record["ordinal"] = i
+            records.append(record)
+        rng.shuffle(records)
+        lines += [json.dumps(r) for r in records]
+    return lines
+
+
+def test_load_corpus_peak_memory_stays_near_what_it_keeps(tmp_path):
+    """Each turn is held once while loading: tracemalloc's peak during
+    load_corpus is at most 1.4 times what the returned Corpus retains. A
+    loader that keeps every line as a tuple until its Turn is built reads
+    about 1.65 here."""
+    lines = _gate_corpus_lines()
+    assert len(lines) >= 5000
+    path = tmp_path / "c.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        corpus = load_corpus(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert corpus.total_turns == len(lines)
+    assert peak <= 1.4 * retained, (peak, retained, peak / retained)
 
 
 def test_fixture_corpus_shape(fixture_corpus):

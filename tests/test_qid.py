@@ -1,15 +1,18 @@
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ynkit.corpus as corpus_module
 import ynkit.qid as qid
-from ynkit.corpus import Corpus, Dialogue, Turn, tokenize
+from ynkit.corpus import Corpus, Dialogue, Turn, load_corpus, tokenize
 from ynkit.errors import CorpusFormatError
 from ynkit.qid import (
     AUXILIARY_VERBS,
+    MODES,
     NO_KEYWORDS,
     WH_WORDS,
     YES_KEYWORDS,
@@ -21,7 +24,7 @@ from ynkit.qid import (
     write_audit_sample,
     write_matches,
 )
-from oracles import naive_scan_corpus, naive_window_tokens
+from oracles import naive_load_matches, naive_scan_corpus, naive_window_tokens
 from util import random_corpus
 
 # hand-marked expectations for the bundled 60-turn fixture
@@ -298,6 +301,68 @@ def test_load_matches_refuses_answer_or_dialogue_that_does_not_fit_the_question(
         path.write_text("".join(json.dumps(r) + "\n" for r in damaged), encoding="utf-8")
         with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}: line 1: {re.escape(needle)}"):
             load_matches(path, fixture_corpus)
+
+
+# -- match resolution against the whole-index oracle --
+
+_ABSENT = object()
+
+
+@st.composite
+def _match_cases(draw) -> tuple[bytes, bytes]:
+    """A corpus file of ordinal and reply_to conversations, lines shuffled,
+    and a matches file over it: lines a scan would write, and lines with
+    one field drawn from values that may not fit."""
+    records, chains = [], []
+    for c, by_reply in enumerate(draw(st.lists(st.booleans(), min_size=1, max_size=3))):
+        chain = [f"c{c}-{i}" for i in range(draw(st.integers(1, 5)))]
+        for i, turn_id in enumerate(chain):
+            record = {"id": turn_id, "conversation_id": f"c{c}", "speaker": "A", "text": "Is it?"}
+            record.update({"reply_to": chain[i - 1] if i else None} if by_reply else {"ordinal": i})
+            records.append(record)
+        chains.append(chain)
+    corpus_lines = draw(st.permutations([json.dumps(r) for r in records]))
+    questions = [(c, i) for c, chain in enumerate(chains) for i in range(len(chain) - 1)]
+    ids = [r["id"] for r in records]
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        c, i = draw(st.sampled_from(questions)) if questions else (0, 0)
+        record = {"dialogue_id": f"c{c}", "question_turn_id": chains[c][i],
+                  "answer_turn_id": chains[c][i + 1] if i + 1 < len(chains[c]) else None,
+                  "mode": draw(st.sampled_from(MODES))}
+        field = draw(st.sampled_from([None, None, None, "dialogue_id", "question_turn_id",
+                                      "answer_turn_id", "mode"]))
+        if field == "dialogue_id":  # none, another dialogue, unknown or not a string
+            record[field] = draw(st.sampled_from([_ABSENT, None, "zz", 3, ["c0"],
+                                                  *(f"c{k}" for k in range(len(chains)))]))
+        elif field is not None:  # unknown, not a string, any turn (non-adjacent, another dialogue)
+            record[field] = draw(st.sampled_from([_ABSENT, None, "zz", 5, ["c0-0"], "banana", *ids]))
+        lines.append((c, i, {key: value for key, value in record.items() if value is not _ABSENT}))
+    if draw(st.booleans()):  # in scan order, as write_matches writes them
+        lines.sort(key=lambda line: line[:2])
+    body = "".join(json.dumps(record) + "\n" for _, _, record in lines)
+    return ("\n".join(corpus_lines) + "\n").encode(), body.encode()
+
+
+def _match_outcome(load, path, corpus):
+    try:
+        return load(path, corpus)
+    except CorpusFormatError as exc:
+        return f"error: {exc}"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=_match_cases())
+def test_load_matches_agrees_with_whole_index_oracle(case):
+    """The same matches, or the same error on the same line, as resolving
+    every line through one index of all turns."""
+    corpus_body, matches_body = case
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus_path, path = Path(tmp) / "c.jsonl", Path(tmp) / "m.jsonl"
+        corpus_path.write_bytes(corpus_body)
+        path.write_bytes(matches_body)
+        corpus = load_corpus(corpus_path)
+        assert _match_outcome(load_matches, path, corpus) == _match_outcome(naive_load_matches, path, corpus)
 
 
 def test_audit_tsv_columns(fixture_corpus, tmp_path):
