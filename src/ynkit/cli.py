@@ -9,6 +9,7 @@ win.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import sys
@@ -284,15 +285,17 @@ def _cmd_probe(args) -> int:
         shots = distant.read_instances(args.shot_examples, unlabeled="shot examples must be labeled")
         examples = tuple((inst.question, inst.answer, inst.label) for inst in shots)
         template = llm_probe.PromptTemplate(shot_examples=examples)
-    if args.client == "replay":
-        if not args.store:
-            raise InvalidConfigError("--client replay requires --store with a replay store file")
-        client = llm_probe.ReplayClient(args.store)
-    else:
-        client = llm_probe.LiveClient(endpoint=args.endpoint)
-    result = llm_probe.probe_benchmark(
-        instances, template, args.shots, client, concurrency=args.concurrency
-    )
+    with contextlib.ExitStack() as stack:
+        if args.client == "replay":
+            if not args.store:
+                raise InvalidConfigError("--client replay requires --store with a replay store file")
+            client = llm_probe.ReplayClient(args.store)
+        else:
+            client = llm_probe.LiveClient(endpoint=args.endpoint)
+            stack.callback(client.close)  # its connections close when the probe ends
+        result = llm_probe.probe_benchmark(
+            instances, template, args.shots, client, concurrency=args.concurrency
+        )
     with Path(args.out).open("w", encoding="utf-8") as handle:
         for response in result.responses:
             label = response.label.value if response.label else None
