@@ -1,13 +1,13 @@
 """Training curricula: gold-only, merged, and blended plans.
 
-A plan is its epochs plus a provenance dict, which names the strategy and
-the arguments that built it and becomes the exported plan.json. A blended
-plan runs m blending epochs in which the gold fraction decays
-geometrically, f_i = alpha^(i-1) in epoch i, the paper's only schedule,
-while every epoch carries all distant instances, followed by n epochs of
-distant instances only. The gold subset is redrawn fresh each blending
-epoch; the distant cap, when set, subsamples the distant pool once before
-planning.
+A plan is its epochs plus a provenance dict, which names the strategy, the
+arguments that built it and the gold rows each epoch drew, and becomes the
+exported plan.json. A blended plan runs m blending epochs in which the
+gold fraction decays geometrically, f_i = alpha^(i-1) in epoch i, the
+paper's only schedule, while every epoch carries all distant instances,
+followed by n epochs of distant instances only. The gold subset is redrawn
+fresh each blending epoch; the distant cap, when set, subsamples the
+distant pool once before planning.
 """
 
 from __future__ import annotations
@@ -25,14 +25,13 @@ from .errors import InvalidConfigError
 
 @dataclass(frozen=True)
 class EpochDataset:
-    gold_count: int  # the other len(instances) - gold_count are distant
     instances: tuple[QAInstance, ...]
 
 
 @dataclass(frozen=True)
 class TrainingPlan:
     epochs: tuple[EpochDataset, ...]
-    provenance: dict  # "strategy" and the build arguments, as in plan.json
+    provenance: dict  # "strategy", the build arguments and "gold_counts", as in plan.json
 
 
 def round_half_away_from_zero(x: float) -> int:
@@ -57,7 +56,7 @@ def _apply_cap(distant: Sequence[QAInstance], cap: Optional[int], seed: int) -> 
 def _epoch(gold_part: list[QAInstance], distant_part: list[QAInstance], seed: int, index: int) -> EpochDataset:
     instances = gold_part + distant_part
     _rng(seed, "epoch", index).shuffle(instances)
-    return EpochDataset(gold_count=len(gold_part), instances=tuple(instances))
+    return EpochDataset(instances=tuple(instances))
 
 
 def build_merged_plan(
@@ -66,7 +65,6 @@ def build_merged_plan(
     epochs: int,
     seed: int,
     distant_cap: Optional[int] = None,
-    strategy: str = "merged",
 ) -> TrainingPlan:
     """Every epoch carries all gold plus all (capped) distant instances,
     reshuffled per epoch."""
@@ -79,20 +77,21 @@ def build_merged_plan(
         _epoch(list(gold), list(capped), seed, i) for i in range(1, epochs + 1)
     )
     provenance = {
-        "strategy": strategy,
+        "strategy": "merged",
         "alpha": None,
         "m": None,
         "n": None,
         "epochs": epochs,
         "seed": seed,
         "cap": distant_cap,
+        "gold_counts": [len(gold)] * epochs,
     }
     return TrainingPlan(epochs=plan_epochs, provenance=provenance)
 
 
 def build_gold_plan(gold: Sequence[QAInstance], epochs: int, seed: int) -> TrainingPlan:
     """Gold data only; the degenerate merge with an empty distant pool."""
-    return build_merged_plan(gold, [], epochs, seed, strategy="gold_only")
+    return build_merged_plan(gold, [], epochs, seed)
 
 
 def build_blended_plan(
@@ -115,13 +114,13 @@ def build_blended_plan(
     if not gold or not distant:
         raise InvalidConfigError("blended plan needs non-empty gold and distant pools")
     capped = _apply_cap(distant, distant_cap, seed)
-    plan_epochs = []
-    for i in range(1, m + 1):
-        count = min(len(gold), round_half_away_from_zero(alpha ** (i - 1) * len(gold)))
-        subset = _rng(seed, "gold", i).sample(list(gold), count)
-        plan_epochs.append(_epoch(subset, list(capped), seed, i))
-    for i in range(m + 1, m + n + 1):
-        plan_epochs.append(_epoch([], list(capped), seed, i))
+    gold_counts = [
+        min(len(gold), round_half_away_from_zero(alpha ** (i - 1) * len(gold))) for i in range(1, m + 1)
+    ] + [0] * n
+    plan_epochs = [
+        _epoch(_rng(seed, "gold", i).sample(list(gold), count), list(capped), seed, i)
+        for i, count in enumerate(gold_counts, 1)
+    ]
     provenance = {
         "strategy": "blended",
         "alpha": alpha,
@@ -131,6 +130,7 @@ def build_blended_plan(
         "seed": seed,
         "cap": distant_cap,
         "schedule": "geometric",
+        "gold_counts": gold_counts,
     }
     return TrainingPlan(epochs=tuple(plan_epochs), provenance=provenance)
 
@@ -151,7 +151,6 @@ def export_plan(plan: TrainingPlan, directory: Union[str, Path]) -> list[Path]:
         written.append(path)
     manifest = dict(plan.provenance)
     manifest["epoch_sizes"] = [len(e.instances) for e in plan.epochs]
-    manifest["gold_counts"] = [e.gold_count for e in plan.epochs]
     plan_path = directory / "plan.json"
     plan_path.write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -164,13 +163,13 @@ def load_plan(directory: Union[str, Path]) -> TrainingPlan:
     """Reconstruct a TrainingPlan from an exported directory.
 
     plan.json's epoch_sizes name the epoch files that must be there,
-    epoch_000.jsonl onwards, and the row count of each; its gold_counts give
-    the gold count of each epoch. Before any epoch file is read, each size
-    must be an integer >= 0 and each gold count an integer from 0 to its
-    epoch's size. A missing, extra or mis-sized epoch file, or a row with no
-    label, is an error. Instance identity within each epoch file is
-    preserved in order. Each distinct line is decoded once per call, and
-    every row that repeats it, in any epoch, is the same object.
+    epoch_000.jsonl onwards, and the row count of each; before any epoch
+    file is read, each size must be an integer >= 0. A missing, extra or
+    mis-sized epoch file, or a row with no label, is an error. Every other
+    plan.json key, gold_counts included, is provenance for external
+    trainers and is returned unchecked. Instance identity within each epoch
+    file is preserved in order. Each distinct line is decoded once per
+    call, and every row that repeats it, in any epoch, is the same object.
     """
     directory = Path(directory)
     plan_path = directory / "plan.json"
@@ -185,19 +184,9 @@ def load_plan(directory: Union[str, Path]) -> TrainingPlan:
         raise InvalidConfigError(f"{plan_path}: no epoch_sizes list")
     if not sizes:
         raise InvalidConfigError(f"{plan_path}: lists no epochs")
-    gold_counts = manifest.get("gold_counts")
-    if not isinstance(gold_counts, list):
-        raise InvalidConfigError(f"{plan_path}: no gold_counts list")
-    if len(gold_counts) != len(sizes):
-        raise InvalidConfigError(f"{plan_path}: gold_counts does not match epoch_sizes")
-    for i, (size, gold_count) in enumerate(zip(sizes, gold_counts)):
+    for i, size in enumerate(sizes):
         if type(size) is not int or size < 0:  # bool is not int
             raise InvalidConfigError(f"{plan_path}: epoch_sizes[{i}] must be an integer >= 0, got {size!r}")
-        if type(gold_count) is not int or not 0 <= gold_count <= size:
-            raise InvalidConfigError(
-                f"{plan_path}: gold_counts[{i}] must be an integer in [0, {size}], "
-                f"got {gold_count!r}"
-            )
     expected = [directory / f"epoch_{i:03d}.jsonl" for i in range(len(sizes))]
     found = set(directory.glob("epoch_*.jsonl"))
     for path in expected:
@@ -208,12 +197,12 @@ def load_plan(directory: Union[str, Path]) -> TrainingPlan:
         raise InvalidConfigError(f"{stray[0]}: not listed in plan.json")
     epochs = []
     decoded: dict[bytes, QAInstance] = {}
-    for path, size, gold_count in zip(expected, sizes, gold_counts):
+    for path, size in zip(expected, sizes):
         instances = tuple(read_instances(path, decoded, unlabeled="every plan row needs a label"))
         if len(instances) != size:
             raise InvalidConfigError(
                 f"{path}: {len(instances)} rows, plan.json lists {size}"
             )
-        epochs.append(EpochDataset(gold_count=gold_count, instances=instances))
+        epochs.append(EpochDataset(instances=instances))
     return TrainingPlan(epochs=tuple(epochs), provenance=manifest)
 

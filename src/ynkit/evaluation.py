@@ -103,14 +103,14 @@ def score(gold: Sequence[Label], predicted: Sequence[Optional[Label]]) -> EvalRe
     weighted = 0.0
     for i, label in enumerate(LABEL_ORDER):
         tp = counts[i][i]
-        gold_count = gold.count(label)  # unmapped predictions included
+        support = gold.count(label)  # its gold instances, unmapped predictions included
         pred_count = sum(row[i] for row in counts)
         precision = tp / pred_count if pred_count else 0.0
-        recall = tp / gold_count if gold_count else 0.0
+        recall = tp / support if support else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
         per_label[label] = (precision, recall, f1)
         f1s.append(f1)
-        weighted += gold_count * f1
+        weighted += support * f1
     accuracy = sum(counts[i][i] for i in range(len(LABEL_ORDER))) / n
     return EvalReport(
         per_label=per_label,

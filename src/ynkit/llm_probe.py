@@ -24,6 +24,7 @@ import hashlib
 import http.client
 import json
 import os
+import re
 import socket
 import threading
 import time
@@ -68,6 +69,9 @@ TIMEOUT_SECONDS = 60.0
 # Linux only: without it a kept-alive connection would stall on delayed ACK,
 # so elsewhere LiveClient closes each connection after its reply
 _QUICKACK = getattr(socket, "TCP_QUICKACK", None)
+
+# the "user:password@" at the head of a URL's authority
+_USERINFO = re.compile(r"^([A-Za-z][A-Za-z0-9+.-]*://)[^/?#]*@")
 
 
 @dataclass(frozen=True)
@@ -120,8 +124,8 @@ def map_response(raw: str) -> MappedResponse:
 
 
 def _is_http_url(url: str) -> bool:
-    parts = urllib.parse.urlsplit(url)
     try:
+        parts = urllib.parse.urlsplit(url)  # raises on an unclosed [IPv6 host
         parts.port  # raises on a port that is not a number in range
     except ValueError:
         return False
@@ -168,10 +172,11 @@ class LiveClient:
 
     Endpoint and credential come from arguments or the YNKIT_LLM_ENDPOINT /
     YNKIT_LLM_API_KEY environment variables; the endpoint must be an absolute
-    http:// or https:// URL with a host. Proxies come from HTTP(S)_PROXY and
-    NO_PROXY, read when the client is made: through a proxy a plain http
-    endpoint is requested by its absolute URL, and an https one through a
-    CONNECT tunnel. Accepts {"completion": ...}, OpenAI-style
+    http:// or https:// URL with a host and no user:password@, which no
+    request would send. Proxies come from HTTP(S)_PROXY and NO_PROXY, read
+    when the client is made: through a proxy a plain http endpoint is
+    requested by its absolute URL, and an https one through a CONNECT
+    tunnel. Accepts {"completion": ...}, OpenAI-style
     {"choices": [{"text": ...}]} and chat-style
     {"choices": [{"message": {"content": ...}}]} response bodies.
 
@@ -204,6 +209,9 @@ class LiveClient:
             raise TransportError(
                 "no completion endpoint configured (set YNKIT_LLM_ENDPOINT)"
             )
+        shown = _USERINFO.sub(r"\1", self.endpoint)  # never echo a password
+        if shown != self.endpoint:
+            raise TransportError(f"completion endpoint must not carry user:password@ credentials, got {shown!r}")
         if not _is_http_url(self.endpoint):
             raise TransportError(
                 "completion endpoint must be an absolute http:// or https:// URL "
@@ -232,14 +240,14 @@ class LiveClient:
         self._address = (parts.hostname, parts.port)
         self._target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
         self._tunnel: Optional[tuple] = None
-        hostport = parts.netloc.rpartition("@")[2]
         proxy = urllib.request.getproxies().get(parts.scheme)
-        if not proxy or urllib.request.proxy_bypass(hostport):
+        if not proxy or urllib.request.proxy_bypass(parts.netloc):
             return
         proxy_url = proxy if "://" in proxy else f"http://{proxy}"
         if not _is_http_url(proxy_url):
+            shown = _USERINFO.sub(r"\1", proxy_url)  # never echo a password
             raise TransportError(
-                f"{parts.scheme} proxy must be an http:// or https:// URL with a host, got {proxy!r}"
+                f"{parts.scheme} proxy must be an http:// or https:// URL with a host, got {shown!r}"
             )
         proxy_parts = urllib.parse.urlsplit(proxy_url)
         auth = {}

@@ -172,7 +172,7 @@ def train_step_gradients(config, probe_size, seed=0, step=1e-5):
     before = LinearModel(np.zeros((classes, config.num_buckets)), np.zeros(classes), config)
     applied, numeric = [], []
     for k, row in enumerate(rows):
-        epoch = EpochDataset(gold_count=k + 1, instances=tuple(rows[: k + 1]))
+        epoch = EpochDataset(instances=tuple(rows[: k + 1]))
         after = train(TrainingPlan(epochs=(epoch,), provenance={}), config)
         target = LABEL_ORDER.index(row.label)
 

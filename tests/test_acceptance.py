@@ -120,7 +120,6 @@ def test_criterion_2_metric_oracles():
 
 def test_criterion_3_blend_schedule_exactness():
     with criterion(3, "blended gold counts exact on the alpha grid", 1.0):
-        gold = list(range(100))  # plan building only needs sized sequences
         from ynkit.distant import QAInstance
 
         gold = [
@@ -137,13 +136,14 @@ def test_criterion_3_blend_schedule_exactness():
             )
             for i in range(40)
         ]
+        pool = {id(inst) for inst in gold}  # a row is gold when it is a gold-pool instance
         for alpha in (0.2, 0.5, 0.8):
             plan = build_blended_plan(gold, distant, alpha=alpha, m=4, n=2, seed=77)
-            got = [e.gold_count for e in plan.epochs]
+            got = [sum(id(row) in pool for row in e.instances) for e in plan.epochs]
             expected = [
                 round_half_away_from_zero(alpha ** (i - 1) * 100) for i in range(1, 5)
             ] + [0, 0]
-            assert got == expected, (alpha, got, expected)
+            assert got == expected == plan.provenance["gold_counts"], (alpha, got, expected)
             assert got[0] == 100
 
 

@@ -2,9 +2,11 @@ import filecmp
 import hashlib
 import json
 import re
+import tempfile
+from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ynkit.blend import (
     build_blended_plan,
@@ -17,6 +19,7 @@ from ynkit.blend import (
 from ynkit.corpus import Label
 from ynkit.distant import QAInstance, read_instances
 from ynkit.errors import CorpusFormatError, InvalidConfigError
+from ynkit.model import TrainConfig, train
 
 from oracles import plan_instances_digest
 
@@ -39,6 +42,17 @@ GOLD = _instances(100, Label.MIDDLE, "gold", "g")
 DISTANT = _instances(400, Label.YES, "distant", "d")
 
 
+def _gold_rows(plan, gold=GOLD):
+    """Each epoch's rows that are gold-pool instances, by identity."""
+    pool = {id(inst) for inst in gold}
+    return [sum(id(row) in pool for row in e.instances) for e in plan.epochs]
+
+
+def _gold_sources(plan):
+    """Each epoch's rows whose source reads "gold", as a loaded plan tells them."""
+    return [sum(row.source == "gold" for row in e.instances) for e in plan.epochs]
+
+
 def test_round_half_away_from_zero():
     assert round_half_away_from_zero(12.5) == 13
     assert round_half_away_from_zero(0.5) == 1
@@ -50,14 +64,14 @@ def test_round_half_away_from_zero():
 def test_merged_plan_sizes():
     plan = build_merged_plan(GOLD[:10], DISTANT[:20], epochs=2, seed=0)
     assert [len(e.instances) for e in plan.epochs] == [30, 30]
-    assert [e.gold_count for e in plan.epochs] == [10, 10]
+    assert _gold_rows(plan) == plan.provenance["gold_counts"] == [10, 10]
     assert plan.provenance["strategy"] == "merged"
 
 
 def test_merged_plan_with_cap():
     plan = build_merged_plan(GOLD[:10], DISTANT[:20], epochs=2, seed=0, distant_cap=5)
     assert [len(e.instances) for e in plan.epochs] == [15, 15]
-    assert [len(e.instances) - e.gold_count for e in plan.epochs] == [5, 5]
+    assert [len(e.instances) - g for e, g in zip(plan.epochs, _gold_rows(plan))] == [5, 5]
     # the cap subsample is drawn once: same distant multiset in both epochs
     first = {i.origin_ids for i in plan.epochs[0].instances if i.source == "distant"}
     second = {i.origin_ids for i in plan.epochs[1].instances if i.source == "distant"}
@@ -66,9 +80,7 @@ def test_merged_plan_with_cap():
 
 def test_merged_without_distant_equals_gold_plan():
     merged = build_merged_plan(GOLD[:10], [], epochs=3, seed=5)
-    gold_only = build_gold_plan(GOLD[:10], epochs=3, seed=5)
-    assert gold_only.provenance["strategy"] == "gold_only"
-    assert [e.instances for e in merged.epochs] == [e.instances for e in gold_only.epochs]
+    assert merged == build_gold_plan(GOLD[:10], epochs=3, seed=5)
 
 
 def test_empty_plan_rejected():
@@ -79,23 +91,22 @@ def test_empty_plan_rejected():
 def test_blended_worked_example():
     plan = build_blended_plan(GOLD, DISTANT, alpha=0.5, m=3, n=2, seed=11)
     assert [len(e.instances) for e in plan.epochs] == [500, 450, 425, 400, 400]
-    assert [e.gold_count for e in plan.epochs] == [100, 50, 25, 0, 0]
+    assert _gold_rows(plan) == plan.provenance["gold_counts"] == [100, 50, 25, 0, 0]
     assert plan.provenance["strategy"] == "blended"
 
 
 def test_blended_alpha_one_and_zero():
     keep_all = build_blended_plan(GOLD, DISTANT, alpha=1.0, m=2, n=0, seed=0)
-    assert [e.gold_count for e in keep_all.epochs] == [100, 100]
+    assert _gold_rows(keep_all) == [100, 100]
     drop_all = build_blended_plan(GOLD, DISTANT, alpha=0.0, m=2, n=0, seed=0)
-    assert [e.gold_count for e in drop_all.epochs] == [100, 0]
+    assert _gold_rows(drop_all) == [100, 0]
 
 
 def test_blended_alpha_grid_counts():
     for alpha in (0.2, 0.5, 0.8):
         plan = build_blended_plan(GOLD, DISTANT, alpha=alpha, m=4, n=2, seed=1)
         expected = [round_half_away_from_zero(alpha ** i * 100) for i in range(4)] + [0, 0]
-        assert [e.gold_count for e in plan.epochs] == expected
-        assert plan.epochs[0].gold_count == 100
+        assert _gold_rows(plan) == expected
 
 
 def test_blended_fresh_subsample_per_epoch():
@@ -132,11 +143,41 @@ def test_blended_preconditions():
 )
 def test_blended_gold_counts_non_increasing(alpha, m, n):
     plan = build_blended_plan(GOLD[:37], DISTANT[:20], alpha=alpha, m=m, n=n, seed=4)
-    counts = [e.gold_count for e in plan.epochs]
+    counts = _gold_rows(plan, GOLD[:37])
     assert counts[0] == 37
     assert all(a >= b for a, b in zip(counts, counts[1:]))
     assert all(c == 0 for c in counts[m:])
     assert len(counts) == m + n
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    n_gold=st.integers(min_value=1, max_value=30),
+    n_distant=st.integers(min_value=1, max_value=30),
+    alpha=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    m=st.integers(min_value=1, max_value=5),
+    n=st.integers(min_value=0, max_value=3),
+    cap=st.none() | st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_blended_plan_rows_match_schedule_and_provenance(n_gold, n_distant, alpha, m, n, cap, seed):
+    gold, distant = GOLD[:n_gold], DISTANT[:n_distant]
+    plan = build_blended_plan(gold, distant, alpha=alpha, m=m, n=n, seed=seed, distant_cap=cap)
+    gold_ids, distant_ids = {id(i) for i in gold}, {id(i) for i in distant}
+    expected = [round_half_away_from_zero(alpha ** (i - 1) * n_gold) for i in range(1, m + 1)] + [0] * n
+    assert len(plan.epochs) == m + n
+    for epoch, count in zip(plan.epochs, expected):
+        assert len({id(row) for row in epoch.instances if id(row) in gold_ids}) == count
+    assert _gold_rows(plan, gold) == expected == plan.provenance["gold_counts"]
+    capped = [Counter(id(row) for row in e.instances if id(row) in distant_ids) for e in plan.epochs]
+    assert all(c == capped[0] for c in capped)
+    assert sum(capped[0].values()) == len(capped[0]) == min(n_distant, cap or n_distant)
+    assert all(len(e.instances) == g + len(capped[0]) for e, g in zip(plan.epochs, expected))
+    with tempfile.TemporaryDirectory() as directory:
+        loaded = load_plan(export_plan(plan, directory)[0].parent)
+    assert [e.instances for e in loaded.epochs] == [e.instances for e in plan.epochs]
+    sizes = [len(e.instances) for e in plan.epochs]
+    assert loaded.provenance == {**plan.provenance, "epoch_sizes": sizes}
 
 
 def test_merged_epoch_not_smaller_than_blended_later_epochs():
@@ -152,7 +193,7 @@ def test_plan_construction_pure_function():
     a = build_blended_plan(GOLD, DISTANT, **config)
     b = build_blended_plan(GOLD, DISTANT, **config)
     assert plan_instances_digest(a) == plan_instances_digest(b)
-    assert [e.gold_count for e in a.epochs] == [e.gold_count for e in b.epochs]
+    assert a.provenance == b.provenance
 
 
 def test_export_plan_files_and_reexport_byte_identical(tmp_path):
@@ -177,7 +218,7 @@ def test_load_plan_round_trip(tmp_path):
     export_plan(plan, tmp_path)
     loaded = load_plan(tmp_path)
     assert loaded.provenance["strategy"] == "merged"
-    assert [e.gold_count for e in loaded.epochs] == [6, 6]
+    assert _gold_sources(loaded) == loaded.provenance["gold_counts"] == [6, 6]
     assert [e.instances for e in loaded.epochs] == [e.instances for e in plan.epochs]
 
 
@@ -211,7 +252,7 @@ def test_load_plan_matches_reading_each_file_alone(tmp_path):
     loaded = load_plan(tmp_path)
     alone = [tuple(read_instances(tmp_path / f"epoch_{i:03d}.jsonl")) for i in range(len(plan.epochs))]
     assert [e.instances for e in loaded.epochs] == alone == [e.instances for e in plan.epochs]
-    assert [e.gold_count for e in loaded.epochs] == [e.gold_count for e in plan.epochs]
+    assert _gold_sources(loaded) == _gold_rows(plan) == loaded.provenance["gold_counts"]
 
 
 def test_load_plan_repeated_rows_are_one_object(tmp_path):
@@ -279,12 +320,6 @@ def test_load_plan_epoch_row_count_checked(tmp_path):
         "{not json",
         "[]",
         '{"epoch_sizes": 3}',
-        '{"epoch_sizes": [10, 10, 10], "gold_counts": [6]}',
-        '{"epoch_sizes": [10, 10, 10], "gold_counts": ["x", 3, 0]}',
-        '{"epoch_sizes": [10, 10, 10], "gold_counts": [-5, 6, 6]}',
-        '{"epoch_sizes": [10, 10, 10], "gold_counts": [6, 11, 6]}',
-        '{"epoch_sizes": [10, 10, 10], "gold_counts": [true, 6, 6]}',
-        '{"epoch_sizes": [10, 10, 10]}',
     ],
 )
 def test_load_plan_bad_manifest(tmp_path, manifest):
@@ -310,13 +345,23 @@ def test_load_plan_refuses_an_epoch_size_that_is_not_a_count(tmp_path, sizes, me
         load_plan(tmp_path)
 
 
-def test_load_plan_checks_every_gold_count_before_reading_an_epoch(tmp_path):
+@pytest.mark.parametrize("gold_counts", [None, "x"], ids=["deleted", "not_a_list"])
+def test_load_plan_trains_the_same_whatever_gold_counts_reads(tmp_path, gold_counts):
+    """train reads only epoch_sizes and the epoch files; gold_counts is a
+    record for external trainers."""
     manifest = json.loads((_exported(tmp_path) / "plan.json").read_text())
-    (tmp_path / "plan.json").write_text(json.dumps({**manifest, "gold_counts": [6, 6, 11]}))
-    (tmp_path / "epoch_000.jsonl").write_text("{not json\n")
-    message = "plan.json: gold_counts[2] must be an integer in [0, 10], got 11"
-    with pytest.raises(InvalidConfigError, match=re.escape(message)):
-        load_plan(tmp_path)
+    config = TrainConfig(num_buckets=2**10)
+    before = train(load_plan(tmp_path), config)
+    if gold_counts is None:
+        del manifest["gold_counts"]
+    else:
+        manifest["gold_counts"] = gold_counts
+    (tmp_path / "plan.json").write_text(json.dumps(manifest))
+    loaded = load_plan(tmp_path)
+    assert loaded.provenance == manifest
+    after = train(loaded, config)
+    assert after.weights.tobytes() == before.weights.tobytes()
+    assert after.bias.tobytes() == before.bias.tobytes()
 
 
 def test_export_empty_plan_rejected(tmp_path):

@@ -1144,6 +1144,20 @@ def _readme_walkthrough() -> list[list[str]]:
     return commands
 
 
+def test_readme_names_every_flag():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    _, subparsers = cli.build_parser()
+    flags = {
+        flag
+        for sub in subparsers.values()
+        for action in sub._actions
+        for flag in action.option_strings
+        if flag not in ("-h", "--help")
+    }
+    # a whole flag: --m inside --mode does not count
+    assert sorted(f for f in flags if not re.search(re.escape(f) + r"(?![\w-])", readme)) == []
+
+
 def test_readme_walkthrough_runs_as_written(tmp_path, monkeypatch):
     commands = _readme_walkthrough()
     assert tuple(argv[0] for argv in commands) == _COMMANDS
