@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import distant, qid
-from .corpus import LABEL_ORDER, Label, _require, iter_jsonl, load_corpus, parse_label
+from .corpus import LABEL_ORDER, Label, _require, iter_jsonl, line_at, load_corpus, parse_label
 from .errors import CorpusFormatError, InvalidConfigError, YnkitError
 
 DEFAULT_SEED = 1729  # fixed so bare runs are reproducible; override with --seed
@@ -218,24 +218,28 @@ def _read_pred_labels(
     null is unmapped, and refused when mcnemar is set. A line with an
     origin, as predict writes, must carry its gold instance's."""
     labels: list[Optional[Label]] = []
-    for i, (where, obj) in enumerate(iter_jsonl(path)):
+    for i, (lineno, obj) in enumerate(iter_jsonl(path)):
         if i == len(gold):
-            raise CorpusFormatError(f"{where}: more predictions than the {len(gold)} instances of {gold_path}")
-        value = _require(obj, "label", where)
+            raise CorpusFormatError(
+                f"{line_at(path, lineno)}: more predictions than the {len(gold)} instances of {gold_path}"
+            )
+        value = _require(obj, "label", path, lineno)
         origin = obj.get("origin")
         if origin is not None:
             expected = distant.origin_to_dict(gold[i].origin_ids)
             if origin != expected:
                 raise CorpusFormatError(
-                    f"{where}: origin {_encode_sorted(origin)} is not gold instance {i + 1}'s, "
-                    f"{_encode_sorted(expected)}"
+                    f"{line_at(path, lineno)}: origin {_encode_sorted(origin)} is not gold instance "
+                    f"{i + 1}'s, {_encode_sorted(expected)}"
                 )
         if value is None and mcnemar:
-            raise CorpusFormatError(f"{where}: mcnemar comparison requires fully mapped predictions")
+            raise CorpusFormatError(
+                f"{line_at(path, lineno)}: mcnemar comparison requires fully mapped predictions"
+            )
         try:
             labels.append(parse_label(value) if value is not None else None)
         except CorpusFormatError as exc:
-            raise CorpusFormatError(f"{where}: {exc}") from None
+            raise CorpusFormatError(f"{line_at(path, lineno)}: {exc}") from None
     if len(labels) < len(gold):
         raise CorpusFormatError(f"{path}: {len(labels)} predictions for the {len(gold)} instances of {gold_path}")
     return labels

@@ -7,7 +7,9 @@ optional dialogue_act is a string; a null optional field counts as absent.
 Turn order within a conversation comes from explicit ordinals when every
 turn has one, otherwise from the reply_to chain. Text is NFC-normalized
 at load time so downstream keyword rules behave consistently across
-corpus encodings.
+corpus encodings, and each distinct text is held once: every turn whose
+text equals an earlier turn's holds that turn's string object, whether
+the two lines spell it alike or NFC folds their spellings together.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .errors import CorpusFormatError
+
+# json.dumps(obj, ensure_ascii=False) for the JSONL writers, with one encoder
+# for the process instead of a new JSONEncoder per line
+encode_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
 class Label(str, enum.Enum):
@@ -174,37 +180,45 @@ def _refusal(line: str) -> str:
     return "expected a JSON object"
 
 
+def line_at(path: Union[str, Path], lineno: int) -> str:
+    """Where line lineno of path is, as every refusal of a line names it."""
+    return f"{path}: line {lineno}"
+
+
 def iter_jsonl(
     path: Union[str, Path],
-    parse: Optional[Callable[[str, dict], object]] = None,
+    parse: Optional[Callable[[dict], object]] = None,
     memo: Optional[dict[bytes, object]] = None,
-) -> Iterator[tuple[str, object]]:
-    """Yield (where, value) for each non-blank line of a JSONL file.
+) -> Iterator[tuple[int, object]]:
+    """Yield (lineno, value) for each non-blank line of a JSONL file,
+    counting lines from 1.
 
-    where reads "{path}: line N"; a line that is not UTF-8, not JSON, or
-    not a JSON object raises CorpusFormatError prefixed by it. value is the
-    object, or parse(where, object) when parse is given. memo (raw line
-    bytes -> value), shared by the calls of one run, decodes and parses
-    each distinct line once: a repeat yields the value of its first copy,
-    whose bytes passed every check already.
+    A line that is not UTF-8, not JSON, or not a JSON object raises
+    CorpusFormatError prefixed by line_at(path, lineno). value is the
+    object, or parse(object) when parse is given; a CorpusFormatError that
+    parse raises gets the same prefix. A caller that refuses a line itself
+    prefixes line_at(path, lineno) to its message, so that no location is
+    formatted for a line that passes. memo (raw line bytes -> value),
+    shared by the calls of one run, decodes and parses each distinct line
+    once: a repeat yields the value of its first copy, whose bytes passed
+    every check already.
 
     Lines go straight to json's C scanner, without JSONDecoder.decode's
     frame and regexes; its refusals are terse, so a line it refuses or
     reads only a prefix of is decoded again by json.loads to word why.
     """
     scan = json.JSONDecoder().scan_once
-    prefix = f"{path}: line "
     with Path(path).open("rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
             if memo is not None:
                 value = memo.get(raw)
                 if value is not None:
-                    yield prefix + str(lineno), value
+                    yield lineno, value
                     continue
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise CorpusFormatError(f"{prefix}{lineno}: not UTF-8 ({exc.reason})") from None
+                raise CorpusFormatError(f"{line_at(path, lineno)}: not UTF-8 ({exc.reason})") from None
             if line.isspace():  # a line read from a file is never empty
                 continue
             body = line.strip(" \t\n\r")  # JSON's whitespace only, as decode skips
@@ -213,22 +227,27 @@ def iter_jsonl(
             except (StopIteration, ValueError, RecursionError):
                 end = -1
             if end != len(body) or type(obj) is not dict:
-                raise CorpusFormatError(f"{prefix}{lineno}: {_refusal(line)}")
-            where = prefix + str(lineno)
-            value = obj if parse is None else parse(where, obj)
+                raise CorpusFormatError(f"{line_at(path, lineno)}: {_refusal(line)}")
+            if parse is None:
+                value = obj
+            else:
+                try:
+                    value = parse(obj)
+                except CorpusFormatError as exc:
+                    raise CorpusFormatError(f"{line_at(path, lineno)}: {exc}") from None
             if memo is not None:
                 memo[raw] = value
-            yield where, value
+            yield lineno, value
 
 
-def _require(obj: dict, key: str, where: str):
+def _require(obj: dict, key: str, path: Union[str, Path], lineno: int):
     if key not in obj:
-        raise CorpusFormatError(f"{where}: missing key {key!r}")
+        raise CorpusFormatError(f"{line_at(path, lineno)}: missing key {key!r}")
     return obj[key]
 
 
-def _wrong_type(where: str, key: str, expected: str, value) -> CorpusFormatError:
-    return CorpusFormatError(f"{where}: {key!r} must be {expected}, got {value!r}")
+def _wrong_type(path: Union[str, Path], lineno: int, key: str, expected: str, value) -> CorpusFormatError:
+    return CorpusFormatError(f"{line_at(path, lineno)}: {key!r} must be {expected}, got {value!r}")
 
 
 _REQUIRED_KEYS = ("id", "conversation_id", "speaker", "text")
@@ -280,7 +299,11 @@ def load_corpus(path: Union[str, Path]) -> Corpus:
 
     Dialogues are ordered lexicographically by id, turns by ordinal. A line
     with an ordinal is its Turn from the start, a reply_to line a row until
-    its chain is ordered: the peak holds each turn once, plus the turn ids.
+    its chain is ordered: the peak holds each turn once, plus the turn ids
+    and a table from each distinct raw text to its checked text. Turns with
+    equal texts share one string object. A text already in the table skips
+    the NFC normalization (and its isascii test) and the empty-text check,
+    which it passed at its first line.
     """
     # the load keeps nearly every object it builds, so a cyclic collection
     # during it would rescan a growing heap and free nothing; pause them
@@ -294,49 +317,60 @@ def load_corpus(path: Union[str, Path]) -> Corpus:
 
 
 def _load_corpus(path: Union[str, Path]) -> Corpus:
-    seen_ids: set[str] = set()
+    # the load peaks as its line loop ends, where seen_ids is the largest
+    # transient; CPython's dict holds 6k to 150k keys in less than its set
+    seen_ids: dict[str, None] = {}
+    texts: dict[str, str] = {}  # raw text -> its checked NFC text, one object per distinct text
     by_ordinal: dict[str, list[Turn]] = {}
     by_reply: defaultdict[str, list[tuple]] = defaultdict(list)
     normalize = unicodedata.normalize
     new_tuple = tuple.__new__  # fills a Turn without its Python-level __new__
-    for where, obj in iter_jsonl(path):
+    for lineno, obj in iter_jsonl(path):
         try:
             turn_id, conv_id, speaker, text = _get_required(obj)
         except KeyError as exc:
-            raise CorpusFormatError(f"{where}: missing key {exc.args[0]!r}") from None
+            raise CorpusFormatError(f"{line_at(path, lineno)}: missing key {exc.args[0]!r}") from None
         if not (type(turn_id) is type(conv_id) is type(speaker) is type(text) is str):
             key = next(key for key in _REQUIRED_KEYS if type(obj[key]) is not str)
-            raise _wrong_type(where, key, "a string", obj[key])
-        if not text.isascii():  # NFC leaves ASCII as it is
-            text = normalize("NFC", text)
-        if not text or text.isspace():
-            raise CorpusFormatError(f"{where}: turn {turn_id!r} has empty text")
+            raise _wrong_type(path, lineno, key, "a string", obj[key])
+        checked = texts.get(text)
+        if checked is not None:  # passed the checks below at its first line
+            text = checked
+        else:
+            raw = text
+            if not text.isascii():  # NFC leaves ASCII as it is
+                # spellings that NFC folds together share the first one's object
+                text = normalize("NFC", text)
+                text = texts.setdefault(text, text)
+            if not text or text.isspace():
+                raise CorpusFormatError(f"{line_at(path, lineno)}: turn {turn_id!r} has empty text")
+            texts[raw] = text
         if turn_id in seen_ids:
-            raise CorpusFormatError(f"{where}: duplicate turn id {turn_id!r}")
-        seen_ids.add(turn_id)
+            raise CorpusFormatError(f"{line_at(path, lineno)}: duplicate turn id {turn_id!r}")
+        seen_ids[turn_id] = None
         # optional fields, null meaning absent; checked inline since this
         # runs once per line; `type(...) is int` also rejects a boolean
         ordinal = obj.get("ordinal")
         if ordinal is not None and type(ordinal) is not int:
-            raise _wrong_type(where, "ordinal", "an integer", ordinal)
+            raise _wrong_type(path, lineno, "ordinal", "an integer", ordinal)
         reply_to = obj.get("reply_to")
         if reply_to is not None and type(reply_to) is not str:
-            raise _wrong_type(where, "reply_to", "a string", reply_to)
+            raise _wrong_type(path, lineno, "reply_to", "a string", reply_to)
         meta = obj.get("meta")
         act = None
         if meta is not None:
             if type(meta) is not dict:
-                raise _wrong_type(where, "meta", "a JSON object", meta)
+                raise _wrong_type(path, lineno, "meta", "a JSON object", meta)
             act = meta.get("dialogue_act")
             if act is not None and type(act) is not str:
-                raise _wrong_type(where, "meta.dialogue_act", "a string", act)
+                raise _wrong_type(path, lineno, "meta.dialogue_act", "a string", act)
         if ordinal is None:
             by_reply[conv_id].append((turn_id, speaker, text, act, reply_to))
         elif turns := by_ordinal.get(conv_id):  # a dialogue's Turns share one id string
             turns.append(new_tuple(Turn, (turn_id, turns[0].dialogue_id, ordinal, speaker, text, act)))
         else:
             by_ordinal[conv_id] = [new_tuple(Turn, (turn_id, conv_id, ordinal, speaker, text, act))]
-    del seen_ids
+    del seen_ids, texts
 
     dialogues = []
     for conv_id in sorted(by_ordinal.keys() | by_reply.keys()):
@@ -376,5 +410,5 @@ def save_corpus(corpus: Corpus, path: Union[str, Path]) -> None:
                 }
                 if turn.dialogue_act is not None:
                     obj["meta"] = {"dialogue_act": turn.dialogue_act}
-                handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
+                handle.write(encode_json(obj) + "\n")
 

@@ -8,7 +8,6 @@ keyword is kept verbatim in the answer text.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from functools import partial
@@ -16,7 +15,7 @@ from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
-from .corpus import Corpus, Label, iter_jsonl, parse_label
+from .corpus import Corpus, Label, encode_json, iter_jsonl, parse_label
 from .errors import CorpusFormatError, InvalidConfigError
 from .qid import QidMatch, answer_polarity
 
@@ -162,9 +161,6 @@ def instance_from_dict(obj: dict) -> QAInstance:
     return inst
 
 
-_encode = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps(..., ensure_ascii=False)
-
-
 def write_instances(
     instances: Iterable[QAInstance],
     path: Union[str, Path],
@@ -179,24 +175,24 @@ def write_instances(
     with Path(path).open("w", encoding="utf-8") as handle:
         if lines is None:
             for inst in instances:
-                handle.write(_encode(instance_to_dict(inst)) + "\n")
+                handle.write(encode_json(instance_to_dict(inst)) + "\n")
             return
         for inst in instances:
             line = lines.get(id(inst))
             if line is None:
-                line = lines[id(inst)] = _encode(instance_to_dict(inst)) + "\n"
+                line = lines[id(inst)] = encode_json(instance_to_dict(inst)) + "\n"
             handle.write(line)
 
 
-def _parse_instance(unlabeled: Optional[str], where: str, obj: dict) -> QAInstance:
+def _parse_instance(unlabeled: Optional[str], obj: dict) -> QAInstance:
     try:
         inst = instance_from_dict(obj)
     except KeyError as exc:
-        raise CorpusFormatError(f"{where}: missing key {exc.args[0]!r}") from None
+        raise CorpusFormatError(f"missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError, CorpusFormatError) as exc:
-        raise CorpusFormatError(f"{where}: bad instance record ({exc})") from None
+        raise CorpusFormatError(f"bad instance record ({exc})") from None
     if inst.label is None and unlabeled is not None:
-        raise CorpusFormatError(f"{where}: {unlabeled}")
+        raise CorpusFormatError(unlabeled)
     return inst
 
 

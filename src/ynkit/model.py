@@ -92,6 +92,13 @@ class TrainConfig:
             )
         if len(set(self.ngram_orders)) != len(self.ngram_orders):
             raise InvalidConfigError("ngram_orders must not repeat an order")
+        # no field keeps more tokens, so a higher order yields no n-gram, yet
+        # _ngram_buckets would build that many token slices to find it out
+        if max(self.ngram_orders) > MAX_TOKENS_PER_FIELD:
+            raise InvalidConfigError(
+                f"ngram_orders must be at most MAX_TOKENS_PER_FIELD ({MAX_TOKENS_PER_FIELD}), "
+                f"got {list(self.ngram_orders)!r}"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -104,6 +111,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TrainConfig":
+        if type(obj) is not dict:
+            raise TypeError(f"config must be a JSON object, got {obj!r}")
         # model files written before the cap was fixed record it; one with
         # another cap would be featurized here unlike in its training
         cap = obj.get("max_tokens_per_field", MAX_TOKENS_PER_FIELD)

@@ -18,14 +18,13 @@ last character is '.', '?' or '!': "Really?!" and "e.g." each end one.
 from __future__ import annotations
 
 import csv
-import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
 from . import corpus as _corpus
-from .corpus import Corpus, Turn, _require, iter_jsonl, lowered_tokens
+from .corpus import Corpus, Turn, _require, encode_json, iter_jsonl, line_at, lowered_tokens
 from .errors import CorpusFormatError, InvalidConfigError
 
 AUXILIARY_VERBS = frozenset(
@@ -176,7 +175,7 @@ def write_matches(matches: list[QidMatch], path: Union[str, Path]) -> None:
             }
             if m.answer is not None:
                 obj["answer_turn_id"] = m.answer.turn_id
-            handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            handle.write(encode_json(obj) + "\n")
 
 
 def load_matches(path: Union[str, Path], corpus: Corpus) -> list[QidMatch]:
@@ -191,14 +190,14 @@ def load_matches(path: Union[str, Path], corpus: Corpus) -> list[QidMatch]:
     index: Optional[dict[str, Turn]] = None
     turns, start = (), 0  # the last looked-up dialogue, and where to look next
 
-    def turn(turn_id, role: str, where: str) -> Turn:
+    def turn(turn_id, role: str, lineno: int) -> Turn:
         if not isinstance(turn_id, str) or turn_id not in index:
-            raise CorpusFormatError(f"{where}: {role} turn {turn_id!r} not in corpus")
+            raise CorpusFormatError(f"{line_at(path, lineno)}: {role} turn {turn_id!r} not in corpus")
         return index[turn_id]
 
     matches = []
-    for where, obj in iter_jsonl(path):
-        question_id = _require(obj, "question_turn_id", where)
+    for lineno, obj in iter_jsonl(path):
+        question_id = _require(obj, "question_turn_id", path, lineno)
         dialogue_id, question = obj.get("dialogue_id"), None
         if index is None and type(dialogue_id) is str:
             named = by_dialogue.get(dialogue_id, ())
@@ -208,23 +207,25 @@ def load_matches(path: Union[str, Path], corpus: Corpus) -> list[QidMatch]:
                 question, answer, start = turns[i], turns[i + 1], i + 1
         if question is None:
             index = index or corpus.turn_index()
-            question = turn(question_id, "question", where)
+            question = turn(question_id, "question", lineno)
             if obj.get("dialogue_id", question.dialogue_id) != question.dialogue_id:
                 raise CorpusFormatError(
-                    f"{where}: dialogue_id {obj['dialogue_id']!r} is not the dialogue of question turn "
-                    f"{question.turn_id!r} ({question.dialogue_id!r})"
+                    f"{line_at(path, lineno)}: dialogue_id {obj['dialogue_id']!r} is not the dialogue of "
+                    f"question turn {question.turn_id!r} ({question.dialogue_id!r})"
                 )
             if obj.get("answer_turn_id") is None:
-                raise CorpusFormatError(f"{where}: match on turn {question.turn_id!r} has no answer turn")
-            answer = turn(obj["answer_turn_id"], "answer", where)
+                raise CorpusFormatError(
+                    f"{line_at(path, lineno)}: match on turn {question.turn_id!r} has no answer turn"
+                )
+            answer = turn(obj["answer_turn_id"], "answer", lineno)
             if (answer.dialogue_id, answer.ordinal) != (question.dialogue_id, question.ordinal + 1):
                 raise CorpusFormatError(
-                    f"{where}: answer turn {answer.turn_id!r} is not the turn after question turn "
-                    f"{question.turn_id!r} in its dialogue"
+                    f"{line_at(path, lineno)}: answer turn {answer.turn_id!r} is not the turn after "
+                    f"question turn {question.turn_id!r} in its dialogue"
                 )
         mode = obj.get("mode", "relaxed")
         if mode not in MODES:
-            raise CorpusFormatError(f"{where}: mode must be one of {MODES}, got {mode!r}")
+            raise CorpusFormatError(f"{line_at(path, lineno)}: mode must be one of {MODES}, got {mode!r}")
         matches.append(QidMatch(question=question, answer=answer, mode=mode))
     return matches
 

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from ynkit import cli
 from ynkit.cli import main
 from ynkit.corpus import load_corpus
+from ynkit.errors import InvalidConfigError
 from ynkit.synth import SynthConfig, make_distant_corpus
 
 from util import random_corpus
@@ -852,6 +853,57 @@ def test_predict_rejects_non_integer_ngram_orders(trained_pipeline, tmp_path, ca
     err = capsys.readouterr().err
     _assert_one_line_error(rc, err, f"error: {damaged}: damaged ")
     assert f"ngram_orders must be integers >= 1, got {value!r}" in err
+
+
+@pytest.mark.parametrize("config", [[], 7, "fast", True], ids=["list", "number", "string", "boolean"])
+def test_predict_rejects_a_model_config_that_is_not_an_object(trained_pipeline, tmp_path, capsys, config):
+    damaged = tmp_path / "model.json"
+    payload = json.loads(trained_pipeline["model"].read_text(encoding="utf-8"))
+    payload["config"] = config
+    damaged.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "preds.jsonl"
+    rc = main(["predict", "--model", str(damaged), "--in", str(trained_pipeline["distant"]), "--out", str(out)])
+    err = capsys.readouterr().err
+    _assert_one_line_error(rc, err, f"error: {damaged}: damaged ynkit-linear-model file: ")
+    assert f"config must be a JSON object, got {config!r}" in err
+    assert not out.exists()
+
+
+def test_ngram_order_above_the_token_cap_is_refused_before_featurizing(
+    trained_pipeline, tmp_path, capsys, monkeypatch
+):
+    """No field keeps more than MAX_TOKENS_PER_FIELD tokens, so no higher
+    order yields an n-gram. An order far above it is refused where a config
+    is built, from train's flag or from model.json; featurizing fails the
+    test instead of trying."""
+    from ynkit import model
+
+    def featurize(*args):
+        raise AssertionError("featurization ran")
+
+    monkeypatch.setattr(model, "_ngram_buckets", featurize)
+    assert model.TrainConfig(ngram_orders=(1, model.MAX_TOKENS_PER_FIELD)).ngram_orders == (1, 512)
+    for orders in ((1, 513), (1, 2**70)):
+        needle = f"at most MAX_TOKENS_PER_FIELD (512), got {list(orders)}"
+        with pytest.raises(InvalidConfigError, match=re.escape(needle)):
+            model.TrainConfig(ngram_orders=orders)
+
+    out = tmp_path / "m.json"
+    rc = main(["train", "--plan", str(trained_pipeline["plandir"]), "--out", str(out), "--ngrams", "1,1000000000"])
+    _assert_one_line_error(rc, capsys.readouterr().err,
+                           "ngram_orders must be at most MAX_TOKENS_PER_FIELD (512), got [1, 1000000000]")
+    assert not out.exists()
+
+    damaged = tmp_path / "model.json"
+    payload = json.loads(trained_pipeline["model"].read_text(encoding="utf-8"))
+    payload["config"]["ngram_orders"] = [1, 1180591620717411303424]
+    damaged.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "preds.jsonl"
+    rc = main(["predict", "--model", str(damaged), "--in", str(trained_pipeline["distant"]), "--out", str(out)])
+    err = capsys.readouterr().err
+    _assert_one_line_error(rc, err, f"error: {damaged}: damaged ynkit-linear-model file: ")
+    assert "at most MAX_TOKENS_PER_FIELD (512), got [1, 1180591620717411303424]" in err
+    assert not out.exists()
 
 
 def test_predict_rejects_unallocatable_num_buckets(trained_pipeline, tmp_path, capsys):

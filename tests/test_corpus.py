@@ -72,7 +72,7 @@ def test_invalid_json_reports_line(tmp_path):
 def test_iter_jsonl_names_file_and_line(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_bytes(b'{"a": 1}\n\n  \n{"b": 2}\n')
-    assert list(iter_jsonl(path)) == [(f"{path}: line 1", {"a": 1}), (f"{path}: line 4", {"b": 2})]
+    assert list(iter_jsonl(path)) == [(1, {"a": 1}), (4, {"b": 2})]
     cases = [
         (b'{"a": 1}\n[1, 2]\n', "expected a JSON object"),
         (b'{"a": 1}\n{"a": \n', "invalid JSON"),
@@ -96,12 +96,12 @@ def test_iter_jsonl_names_file_and_line(tmp_path):
         for end in ("\n", "\r\n"):
             path.write_bytes(f'{{"z": 0}}{end}{line}{end}'.encode("utf-8"))
             try:
-                expected = (f"{path}: line 2", repr(json.loads(line + end)))
+                expected = (2, repr(json.loads(line + end)))
             except json.JSONDecodeError as exc:
                 expected = f"{path}: line 2: invalid JSON ({exc.msg})"
             try:
-                where, obj = list(iter_jsonl(path))[1]
-                got = (where, repr(obj))  # by repr, since nan != nan
+                lineno, obj = list(iter_jsonl(path))[1]
+                got = (lineno, repr(obj))  # by repr, since nan != nan
             except CorpusFormatError as exc:
                 got = str(exc)
             assert got == expected, (line, end)
@@ -265,12 +265,19 @@ _TYPED_KEYS = {"id": str, "conversation_id": str, "speaker": str, "text": str,
 _ANY_VALUES = (None, True, 0, 3, 1.5, "x", [], ["a"], {}, {"k": 1})
 
 
-def _conversation(draw, conv_id: str) -> list[dict]:
+def _respelled(text: str) -> str:
+    """text with each composed word of _TURN_TEXTS decomposed and each
+    decomposed one composed: another spelling of the same NFC text."""
+    swaps = {"cafe\u0301": "caf\u00e9", "caf\u00e9": "cafe\u0301", "re\u0301sume\u0301": "r\u00e9sum\u00e9"}
+    return " ".join(swaps.get(word, word) for word in text.split(" "))
+
+
+def _conversation(draw, conv_id: str, texts) -> list[dict]:
     by_reply = draw(st.booleans())
     records = []
     for i in range(draw(st.integers(1, 5))):
         record = {"id": f"{conv_id}-{i}", "conversation_id": conv_id,
-                  "speaker": draw(st.sampled_from("AB")), "text": draw(_TURN_TEXTS)}
+                  "speaker": draw(st.sampled_from("AB")), "text": draw(texts)}
         if by_reply:
             parent = f"{conv_id}-{i - 1}" if i else draw(st.sampled_from([None, "", _ABSENT]))
             optional = {"reply_to": parent, "ordinal": draw(st.sampled_from([None, _ABSENT]))}
@@ -316,15 +323,21 @@ def _inject(draw, records: list[dict], defect: str) -> None:
             target[key] = value
     elif defect == "missing_key":
         del record[draw(st.sampled_from(["id", "conversation_id", "speaker", "text"]))]
-    elif defect == "empty_text":
+    elif defect == "empty_text":  # on one line, or on two that repeat it
         record["text"] = draw(st.sampled_from(["", " ", "\t\u00a0"]))
+        if draw(st.booleans()):
+            draw(st.sampled_from(records), label="second empty record")["text"] = record["text"]
 
 
 @st.composite
 def _corpus_files(draw) -> bytes:
     conv_ids = draw(st.lists(st.sampled_from(["a", "b", "c10", "c2", "Z", "\u00e9"]),
                              min_size=1, max_size=4, unique=True))
-    records = [r for conv_id in conv_ids for r in _conversation(draw, conv_id)]
+    # most texts come from a small pool, so that lines repeat a text, in
+    # its own spelling or in another that NFC folds into it
+    pool = draw(st.lists(_TURN_TEXTS, min_size=1, max_size=3))
+    texts = st.one_of(st.sampled_from(pool), st.sampled_from(pool).map(_respelled), _TURN_TEXTS)
+    records = [r for conv_id in conv_ids for r in _conversation(draw, conv_id, texts)]
     defect = draw(st.sampled_from((None,) + _DEFECTS))
     if defect is not None and defect != "bad_json":
         _inject(draw, records, defect)
@@ -355,7 +368,39 @@ def test_load_corpus_matches_line_by_line_oracle(body):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.jsonl"
         path.write_bytes(body)
-        assert _load_outcome(load_corpus, path) == _load_outcome(naive_load_corpus, path)
+        loaded = _load_outcome(load_corpus, path)
+        assert loaded == _load_outcome(naive_load_corpus, path)
+    if not isinstance(loaded, str):
+        _assert_equal_texts_are_one_object(loaded)
+
+
+def _assert_equal_texts_are_one_object(corpus) -> None:
+    first = {}
+    for dialogue in corpus:
+        for turn in dialogue.turns:
+            assert first.setdefault(turn.text, turn.text) is turn.text, turn
+
+
+def test_load_corpus_holds_each_distinct_text_once(tmp_path):
+    """Turns with equal texts share one string object, across dialogues,
+    both ordering paths, and spellings that NFC folds into one text."""
+    decomposed, composed = "Cafe\u0301 later?", "Caf\u00e9 later?"
+    texts = ["Do you want to go?", decomposed, "Yes, I do.", composed, "Do you want to go?",
+             composed, "Yes, I do.", decomposed]
+    records = []
+    for c, conv_id in enumerate(["a", "b"]):  # a by ordinal, b by reply_to
+        for i, text in enumerate(texts[4 * c:4 * c + 4]):
+            record = {"id": f"{conv_id}{i}", "conversation_id": conv_id, "speaker": "AB"[i % 2], "text": text}
+            record.update({"ordinal": i} if conv_id == "a" else {"reply_to": f"{conv_id}{i - 1}" if i else None})
+            records.append(record)
+    records.reverse()  # each conversation's lines out of order
+    path = tmp_path / "c.jsonl"
+    _write_jsonl(path, records)
+    corpus = load_corpus(path)
+    assert corpus == naive_load_corpus(path)
+    turns = [t for d in corpus for t in d.turns]
+    assert len({t.text for t in turns}) == 3
+    _assert_equal_texts_are_one_object(corpus)
 
 
 # -- what the loader holds while it reads --
